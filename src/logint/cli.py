@@ -3,7 +3,8 @@ verify the identity chain, and probe the n -> infinity limit.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 domain error, 3 quadrature non-convergence (or an eval/table spread above
-the pass threshold).  CSV and JSON payloads are stable machine formats;
+the pass threshold, or an arithmetic error such as an overflow inside a
+route).  CSV and JSON payloads are stable machine formats;
 ``--quiet`` silences the human rendering and nothing else.
 """
 
@@ -317,6 +318,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # e.g. overflow inside a route near n = 1
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -6,21 +6,27 @@ subdivision logic; ``integrate_semi_infinite`` is the exp-sinh analogue for
 half-lines, and ``integrate_bilateral`` folds the real line at zero into
 two half-line integrals.
 
-Refinement halves the trapezoid step once per level.  Nodes are generated
-in a fixed center-outward order, abscissas are formed as offsets from the
-nearest endpoint (so no precision is lost next to a singularity), partial
-sums use compensated (Kahan) accumulation, and the error estimate is the
-last level-to-level difference floored at machine precision.  Identical
-inputs therefore produce bit-identical outcomes.
+Refinement halves the trapezoid step once per level.  The nodes of a level
+do not depend on the interval, so each transform builds a table of them per
+level on first use and every later call walks the cached table; only the
+products with the interval (weight scale, abscissa offset) are formed per
+call.  Nodes are visited in a fixed center-outward order, abscissas are
+formed as offsets from the nearest endpoint (so no precision is lost next
+to a singularity), partial sums use compensated (Kahan) accumulation in
+that same order, and the error estimate is the last level-to-level
+difference floored at machine precision.  Identical inputs therefore
+produce bit-identical outcomes, whether or not a table was cached.  A
+non-finite value or error estimate is never reported as converged.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass, replace
 from itertools import count
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 __all__ = [
     "QuadratureConfig",
@@ -74,60 +80,99 @@ class _OutOfBudget(Exception):
     """Internal: the integrand evaluation cap was reached mid-sweep."""
 
 
-class _EvalCounter:
-    __slots__ = ("used", "cap")
-
-    def __init__(self, cap: int) -> None:
-        self.used = 0
-        self.cap = cap
-
-    def call(self, f: Callable[[float], float], x: float) -> float:
-        if self.used >= self.cap:
-            raise _OutOfBudget
-        self.used += 1
-        return f(x)
+# Node tables, one per level and transform, built on first use.  Level 0
+# holds k = 1, 2, ... at h = 1; level L >= 1 holds the odd k at h = 2^-L.
+# A table keeps only what does not depend on the interval, as parallel
+# array('d') columns.  Threads that race to build a level build identical
+# tables, so setdefault is all the locking needed.
+_TANH_SINH: dict[int, tuple[array, array, array, array]] = {}
+_EXP_SINH: dict[int, tuple[array, array, array, array]] = {}
 
 
-class _Kahan:
-    """Compensated accumulator; addition order is part of the contract."""
+def _tanh_sinh_level(level: int) -> tuple[array, array, array, array]:
+    """Columns cosh(t), q, (1+q)^2 and 2q/(1+q), up to the first q == 0."""
+    table = _TANH_SINH.get(level)
+    if table is not None:
+        return table
+    h = 0.5**level
+    cosh_t, qs, one_plus_sq, rs = array("d"), array("d"), array("d"), array("d")
+    for k in count(1, 2 if level else 1):
+        t = k * h
+        y = _HALF_PI * math.sinh(t)
+        q = math.exp(-2.0 * y)
+        if q == 0.0:
+            break  # weights underflow from here on
+        one_plus = 1.0 + q
+        cosh_t.append(math.cosh(t))
+        qs.append(q)
+        one_plus_sq.append(one_plus * one_plus)
+        rs.append(2.0 * q / one_plus)  # 1 - |tanh|
+    return _TANH_SINH.setdefault(level, (cosh_t, qs, one_plus_sq, rs))
 
-    __slots__ = ("total", "_comp")
 
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._comp = 0.0
+def _exp_sinh_level(level: int) -> tuple[array, array, array, array]:
+    """Columns base*grow, grow, base*decay and decay, up to where both die.
 
-    def add(self, term: float) -> None:
-        t = term - self._comp
-        fresh = self.total + t
-        self._comp = (fresh - self.total) - t
-        self.total = fresh
+    Past y = 709 exp(y) would overflow, so grow is stored as inf there and
+    the far side stops on its non-finite weight; the table ends where the
+    near weight underflows to zero as well.
+    """
+    table = _EXP_SINH.get(level)
+    if table is not None:
+        return table
+    h = 0.5**level
+    far_w, grows, near_w, decays = array("d"), array("d"), array("d"), array("d")
+    for k in count(1, 2 if level else 1):
+        t = k * h
+        y = _HALF_PI * math.sinh(t)
+        base = _HALF_PI * math.cosh(t)
+        grow = math.exp(y) if y <= 709.0 else math.inf
+        decay = math.exp(-y)
+        if base * decay == 0.0 and not math.isfinite(base * grow):
+            break
+        far_w.append(base * grow)
+        grows.append(grow)
+        near_w.append(base * decay)
+        decays.append(decay)
+    return _EXP_SINH.setdefault(level, (far_w, grows, near_w, decays))
 
 
 def _refine(
-    level0: float,
-    pair_sum: Callable[[float, Iterable[int]], float],
-    counter: _EvalCounter,
+    center: float,
+    pair_sum: Callable[[int, int], tuple[float, int]],
     cfg: QuadratureConfig,
 ) -> QuadratureOutcome:
-    """Shared level-doubling driver: halve h, reuse the previous sum."""
-    value = level0
+    """Shared level-doubling loop: halve h, reuse the previous sum.
+
+    ``pair_sum(level, used)`` walks one level's nodes and returns their
+    weighted sum and the evaluation count so far.  It raises _OutOfBudget
+    in place of evaluation ``cfg.max_evals + 1``, so the count is then
+    exactly ``cfg.max_evals``.
+    """
+    try:
+        partial, used = pair_sum(0, 1)  # the center was evaluation 1
+    except _OutOfBudget:
+        return QuadratureOutcome(0.0, math.inf, cfg.max_evals, False)
+    value = center + partial
     err = math.inf
     h = 1.0
-    for _ in range(cfg.max_level):
+    for level in range(1, cfg.max_level + 1):
         h *= 0.5
         try:
-            refined = 0.5 * value + h * pair_sum(h, count(1, 2))
+            partial, used = pair_sum(level, used)
         except _OutOfBudget:
-            return QuadratureOutcome(value, err, counter.used, False)
+            return QuadratureOutcome(value, err, cfg.max_evals, False)
+        refined = 0.5 * value + h * partial
         err = abs(refined - value)
         floor = _EPS * abs(refined)
         if err < floor:
             err = floor  # cannot honestly claim accuracy below roundoff
         value = refined
+        if not (math.isfinite(value) and math.isfinite(err)):
+            return QuadratureOutcome(value, err, used, False)
         if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-            return QuadratureOutcome(value, err, counter.used, True)
-    return QuadratureOutcome(value, err, counter.used, False)
+            return QuadratureOutcome(value, err, used, True)
+    return QuadratureOutcome(value, err, used, False)
 
 
 def integrate_finite(
@@ -150,45 +195,46 @@ def integrate_finite(
         raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
     halfspan = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    counter = _EvalCounter(cfg.max_evals)
+    scale = halfspan * _HALF_PI
+    cap = cfg.max_evals
 
-    def pair_sum(h: float, ks: Iterator[int]) -> float:
-        acc = _Kahan()
+    def pair_sum(level: int, used: int) -> tuple[float, int]:
+        total = 0.0
+        comp = 0.0  # Kahan compensation; addition order is part of the contract
         left_alive = True
         right_alive = True
-        for k in ks:
-            t = k * h
-            y = _HALF_PI * math.sinh(t)
-            q = math.exp(-2.0 * y)
-            if q == 0.0:
-                break  # weights underflow from here on
-            one_plus = 1.0 + q
-            w = halfspan * _HALF_PI * math.cosh(t) * 4.0 * q / (one_plus * one_plus)
-            offset = halfspan * (2.0 * q / one_plus)  # halfspan * (1 - |tanh|)
+        for ch, q, opsq, r in zip(*_tanh_sinh_level(level)):
+            w = scale * ch * 4.0 * q / opsq
+            offset = halfspan * r
             contribution = 0.0
             if left_alive:
                 x = a + offset
                 if x <= a:
                     left_alive = False  # node rounded onto the endpoint
                 else:
-                    contribution += w * counter.call(f, x)
+                    if used >= cap:
+                        raise _OutOfBudget
+                    used += 1
+                    contribution += w * f(x)
             if right_alive:
                 x = b - offset
                 if x >= b:
                     right_alive = False
                 else:
-                    contribution += w * counter.call(f, x)
+                    if used >= cap:
+                        raise _OutOfBudget
+                    used += 1
+                    contribution += w * f(x)
             if not (left_alive or right_alive):
                 break
-            acc.add(contribution)
-        return acc.total
+            term = contribution - comp
+            fresh = total + term
+            comp = (fresh - total) - term
+            total = fresh
+        return total, used
 
-    try:
-        center = halfspan * _HALF_PI * counter.call(f, mid)
-        level0 = center + pair_sum(1.0, count(1))
-    except _OutOfBudget:
-        return QuadratureOutcome(0.0, math.inf, counter.used, False)
-    return _refine(level0, pair_sum, counter, cfg)
+    # max_evals >= 1, so the center always fits in the budget
+    return _refine(scale * f(mid), pair_sum, cfg)
 
 
 def integrate_semi_infinite(
@@ -206,29 +252,26 @@ def integrate_semi_infinite(
         cfg = QuadratureConfig()
     if not math.isfinite(a):
         raise ValueError(f"lower limit must be finite, got {a!r}")
-    counter = _EvalCounter(cfg.max_evals)
+    cap = cfg.max_evals
 
-    def pair_sum(h: float, ks: Iterator[int]) -> float:
-        acc = _Kahan()
+    def pair_sum(level: int, used: int) -> tuple[float, int]:
+        total = 0.0
+        comp = 0.0  # Kahan compensation; addition order is part of the contract
         near_alive = True  # t < 0, x slides down to a
         far_alive = True  # t > 0, x runs to infinity
         near_tiny = 0
         far_tiny = 0
-        for k in ks:
-            t = k * h
-            y = _HALF_PI * math.sinh(t)
-            base = _HALF_PI * math.cosh(t)
+        for far_w, grow, near_w, decay in zip(*_exp_sinh_level(level)):
             contribution = 0.0
-            if far_alive and y > 709.0:
-                far_alive = False  # exp(y) would overflow; x is unrepresentable
             if far_alive:
-                grow = math.exp(y)
-                w = base * grow
                 x = a + grow
-                if not (math.isfinite(w) and math.isfinite(x)):
+                if not (math.isfinite(far_w) and math.isfinite(x)):
                     far_alive = False  # beyond representable range
                 else:
-                    c = w * counter.call(f, x)
+                    if used >= cap:
+                        raise _OutOfBudget
+                    used += 1
+                    c = far_w * f(x)
                     if abs(c) <= _NEGLIGIBLE:
                         far_tiny += 1
                         if far_tiny >= 2:
@@ -237,13 +280,14 @@ def integrate_semi_infinite(
                         far_tiny = 0
                     contribution += c
             if near_alive:
-                decay = math.exp(-y)
-                w = base * decay
                 x = a + decay
-                if x <= a or w == 0.0:
+                if x <= a or near_w == 0.0:
                     near_alive = False  # node rounded onto the endpoint
                 else:
-                    c = w * counter.call(f, x)
+                    if used >= cap:
+                        raise _OutOfBudget
+                    used += 1
+                    c = near_w * f(x)
                     if abs(c) <= _NEGLIGIBLE:
                         near_tiny += 1
                         if near_tiny >= 2:
@@ -253,15 +297,14 @@ def integrate_semi_infinite(
                     contribution += c
             if not (near_alive or far_alive):
                 break
-            acc.add(contribution)
-        return acc.total
+            term = contribution - comp
+            fresh = total + term
+            comp = (fresh - total) - term
+            total = fresh
+        return total, used
 
-    try:
-        center = _HALF_PI * counter.call(f, a + 1.0)
-        level0 = center + pair_sum(1.0, count(1))
-    except _OutOfBudget:
-        return QuadratureOutcome(0.0, math.inf, counter.used, False)
-    return _refine(level0, pair_sum, counter, cfg)
+    # max_evals >= 1, so the center always fits in the budget
+    return _refine(_HALF_PI * f(a + 1.0), pair_sum, cfg)
 
 
 def integrate_bilateral(

@@ -4,11 +4,13 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import logint
 from logint import cli, routes
 
 EVAL_KEYS = set(cli.EVAL_FIELDS)
@@ -44,6 +46,15 @@ def test_eval_quadrature_nonconvergence(capsys):
     # a tolerance below the roundoff floor can never be certified
     code, _, _ = run_cli(["eval", "--n", "3", "--quad-tol", "1e-16"], capsys)
     assert code == cli.EXIT_NO_CONVERGENCE
+
+
+def test_eval_arithmetic_error_is_no_convergence(capsys):
+    # numeric_I overflows at n = 1.01; the CLI reports it without a traceback
+    code, out, err = run_cli(["eval", "--n", "1.01"], capsys)
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_table_bad_ranges(capsys):
@@ -246,10 +257,14 @@ def test_quiet_preserves_exit_codes(capsys):
 # ------------------------------------------------------------- entry point
 
 def test_module_entry_point_runs():
+    # the child must import the same logint, installed or not
+    src = os.path.dirname(os.path.dirname(logint.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "logint", "eval", "--n", "3", "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
         timeout=120,
     )
     assert proc.returncode == 0

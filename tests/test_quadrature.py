@@ -1,17 +1,25 @@
 """Quadrature engine: known-value suite, honesty, linearity, determinism."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logint
+from logint import quadrature
 from logint.quadrature import (
     QuadratureConfig,
     integrate_bilateral,
     integrate_finite,
     integrate_semi_infinite,
 )
+from logint.routes import lemma1_integrand, numeric_I
 
 from oracles import zeta_partial
 
@@ -223,3 +231,118 @@ def test_error_estimate_nonnegative_and_evals_counted():
     outcome = integrate_finite(lambda x: x * x, -1.0, 2.0)
     assert outcome.error_estimate >= 0.0
     assert outcome.evaluations > 0
+
+
+# ------------------------------------------------------- golden outcomes
+
+def wiggle(x):
+    return 3.0 + math.sin(2.0 * x + 0.5) + 0.25 * x * x
+
+
+GOLDEN_RUNS = {
+    "finite log (0,1)": lambda: integrate_finite(math.log, 0.0, 1.0),
+    "finite wiggle (0.1,2.3)": lambda: integrate_finite(wiggle, 0.1, 2.3),
+    "finite x^2 (-1,2)": lambda: integrate_finite(lambda x: x * x, -1.0, 2.0),
+    "semi exp(-x) (0,inf)": lambda: integrate_semi_infinite(lambda x: math.exp(-x), 0.0),
+    "semi x^-2 (2.5,inf)": lambda: integrate_semi_infinite(lambda x: 1.0 / (x * x), 2.5),
+    "bilateral lemma1(2,0.35)": lambda: integrate_bilateral(lemma1_integrand(2, 0.35)),
+    "numeric_I 1.5": lambda: numeric_I(1.5),
+    "numeric_I 3": lambda: numeric_I(3.0),
+    "numeric_I 100": lambda: numeric_I(100.0),
+    "numeric_I 600": lambda: numeric_I(600.0),
+    "finite sin budget 50": lambda: integrate_finite(
+        math.sin, 0.0, math.pi, QuadratureConfig(max_evals=50)
+    ),
+}
+
+# (value, error_estimate, evaluations, converged), recorded with the
+# engine that recomputed every node on every call; the cached node tables
+# must reproduce them bit for bit.
+GOLDEN = {
+    "finite log (0,1)": ("-0x1.0000000000000p+0", "0x1.5500000000000p-43", 75, True),
+    "finite wiggle (0.1,2.3)": ("0x1.f3aa3d26248f4p+2", "0x1.f3aa3d26248f4p-50", 102, True),
+    "finite x^2 (-1,2)": ("0x1.7fffffffffffep+1", "0x1.0000000000000p-50", 102, True),
+    "semi exp(-x) (0,inf)": ("0x1.0000000000000p+0", "0x1.0000000000000p-52", 300, True),
+    "semi x^-2 (2.5,inf)": ("0x1.9999999999999p-2", "0x1.a1d0000000000p-42", 84, True),
+    "bilateral lemma1(2,0.35)": ("0x1.3e6685d69753cp+5", "0x1.7348800000000p-33", 577, True),
+    "numeric_I 1.5": ("0x1.76505acbb952dp+1", "0x1.2c05270383b2bp-50", 298, True),
+    "numeric_I 3": ("-0x1.76505acbb952dp-1", "0x1.1000000000000p-51", 298, True),
+    "numeric_I 100": ("-0x1.ffea6e9c36ce7p-1", "0x1.08d6b9e8ea9f9p-52", 598, True),
+    "numeric_I 600": ("-0x1.ffff66adf7bbap-1", "0x1.05e2a00000000p-49", 598, True),
+    "finite sin budget 50": ("0x1.0000003fe2417p+1", "0x1.1aa472ba60600p-8", 50, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outcomes_are_bit_identical(name):
+    outcome = GOLDEN_RUNS[name]()
+    value, error, evaluations, converged = GOLDEN[name]
+    assert outcome.value == float.fromhex(value)
+    assert outcome.error_estimate == float.fromhex(error)
+    assert outcome.evaluations == evaluations
+    assert outcome.converged is converged
+
+
+# ------------------------------------------------------ node-table cache
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    monkeypatch.setattr(quadrature, "_TANH_SINH", {})
+    monkeypatch.setattr(quadrature, "_EXP_SINH", {})
+
+
+def test_import_builds_no_level():
+    src = os.path.dirname(os.path.dirname(logint.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import logint.quadrature as q; print(len(q._TANH_SINH), len(q._EXP_SINH))"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import logint; " + probe],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def _cache_workload():
+    return [numeric_I(n) for n in (1.5, 3.0, 42.0)] + [
+        integrate_bilateral(lemma1_integrand(m, 0.3)) for m in (1, 2, 3)
+    ]
+
+
+def test_threads_on_a_cold_cache_match_a_serial_run(cold_cache):
+    serial = _cache_workload()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the table builds as much as possible
+    try:
+        for _ in range(5):
+            quadrature._TANH_SINH.clear()
+            quadrature._EXP_SINH.clear()
+            start = threading.Barrier(8)
+            results = [None] * 8
+
+            def run(slot):
+                start.wait(timeout=60)
+                results[slot] = _cache_workload()
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(result == serial for result in results)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_node_tables_stay_compact(cold_cache):
+    tracemalloc.start()
+    try:
+        for level in range(13):
+            quadrature._tanh_sinh_level(level)
+            quadrature._exp_sinh_level(level)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(quadrature._TANH_SINH) == len(quadrature._EXP_SINH) == 13
+    assert current <= 2.5e6

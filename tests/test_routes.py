@@ -145,6 +145,13 @@ def test_numeric_independent_of_special_functions(monkeypatch):
     assert outcome.converged
 
 
+def test_numeric_never_claims_convergence_on_a_non_finite_result():
+    # near n = 1 the quadrature overflows to inf; that is not convergence
+    outcome = rt.numeric_I(1.02)
+    finite = math.isfinite(outcome.value) and math.isfinite(outcome.error_estimate)
+    assert finite or not outcome.converged
+
+
 def test_numeric_respects_eval_budget():
     cfg = QuadratureConfig()
     outcome = rt.numeric_I(2.5, cfg)
