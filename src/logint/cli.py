@@ -318,7 +318,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:  # e.g. overflow inside a route near n = 1
+    except ArithmeticError as exc:  # e.g. an overflow inside a route
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

@@ -22,7 +22,7 @@ The verification subjects follow the derivation chain:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -31,7 +31,7 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureOutcome,
     integrate_bilateral,
-    integrate_finite,
+    integrate_semi_infinite,
 )
 
 __all__ = [
@@ -161,8 +161,16 @@ class EvaluationRow:
 
 
 def closed_form_trig(n: "Exponent | float") -> float:
-    """-(pi^2/n^2) cot(pi/n) csc(pi/n), the fully collapsed closed form."""
+    """-(pi^2/n^2) cot(pi/n) csc(pi/n), the fully collapsed closed form.
+
+    For n < 2 the angle is written pi - y, y = pi (n-1)/n with n - 1 exact,
+    because pi/n itself rounds next to pi as n -> 1 and sin(pi/n) is lost.
+    """
     v = _value(n)
+    if v < 2.0:
+        y = math.pi * ((v - 1.0) / v)
+        s = math.sin(y)
+        return (math.pi * math.pi) / (v * v) * math.cos(y) / (s * s)
     x = math.pi / v
     s = math.sin(x)
     return -(math.pi * math.pi) / (v * v) * math.cos(x) / (s * s)
@@ -224,32 +232,19 @@ def numeric_I(
 ) -> QuadratureOutcome:
     """Direct quadrature of the defining integral; the oracle route.
 
-    The unit interval carries the logarithmic singularity; the tail is
-    folded back onto (0, 1) by x -> 1/t, giving
-    int_0^1 (-ln t) t^(n-2) / (t^n + 1) dt, so both pieces are
-    finite-interval tanh-sinh jobs.  No special-function code is involved.
-    Convergence degrades honestly (flag down) as n -> 1, where a visible
-    share of the mass sits below double-precision resolution.
+    x = e^(-s) on (0, 1) and x = e^s on (1, inf) fold both halves onto
+    int_0^inf s [e^(-(n-1)s) - e^(-s)] / (1 + e^(-ns)) ds, one smooth
+    exp-sinh integral.  No exponent is positive, so nothing overflows, and
+    the slow decay as n -> 1, where |I| grows like 1/(n-1)^2, is followed
+    rather than cut off.  No special-function code is involved.
     """
     v = _value(n)
-    if cfg is None:
-        cfg = QuadratureConfig()
-    half_cfg = replace(cfg, max_evals=max(1, cfg.max_evals // 2))
+    m = v - 1.0
 
-    def head(x: float) -> float:
-        return math.log(x) / (x**v + 1.0)
+    def integrand(s: float) -> float:
+        return s * (math.exp(-m * s) - math.exp(-s)) / (1.0 + math.exp(-v * s))
 
-    def tail(t: float) -> float:
-        return -math.log(t) * t ** (v - 2.0) / (t**v + 1.0)
-
-    below = integrate_finite(head, 0.0, 1.0, half_cfg)
-    above = integrate_finite(tail, 0.0, 1.0, half_cfg)
-    return QuadratureOutcome(
-        below.value + above.value,
-        below.error_estimate + above.error_estimate,
-        below.evaluations + above.evaluations,
-        below.converged and above.converged,
-    )
+    return integrate_semi_infinite(integrand, 0.0, cfg)
 
 
 def evaluate_all_routes(

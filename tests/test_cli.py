@@ -48,13 +48,29 @@ def test_eval_quadrature_nonconvergence(capsys):
     assert code == cli.EXIT_NO_CONVERGENCE
 
 
-def test_eval_arithmetic_error_is_no_convergence(capsys):
-    # numeric_I overflows at n = 1.01; the CLI reports it without a traceback
-    code, out, err = run_cli(["eval", "--n", "1.01"], capsys)
+def test_eval_arithmetic_error_is_no_convergence(capsys, monkeypatch):
+    # an arithmetic error inside a route is reported without a traceback
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(routes, "numeric_I", overflow)
+    code, out, err = run_cli(["eval", "--n", "3"], capsys)
     assert code == cli.EXIT_NO_CONVERGENCE
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_eval_near_one_prints_a_finite_quadrature_value(capsys):
+    # |I| ~ 1e4 at n = 1.01; quadrature follows it, but the gamma-derivative
+    # route's absolute spread (~4e-3) still exceeds the 1e-6 spread gate
+    code, out, _ = run_cli(["eval", "--n", "1.01", "--format", "csv"], capsys)
+    assert code == cli.EXIT_NO_CONVERGENCE
+    row = next(csv.DictReader(io.StringIO(out)))
+    quad = float(row["quadrature_value"])
+    trig = float(row["trig_form"])
+    assert math.isfinite(quad)
+    assert abs(quad - trig) <= 1e-10 * abs(trig)
 
 
 def test_table_bad_ranges(capsys):

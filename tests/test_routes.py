@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from logint import routes as rt
 from logint import specfun
@@ -49,6 +49,38 @@ def test_trig_form_special_values():
     )
     # cot(2pi/3) csc(2pi/3) = -2/3 exactly, so I(1.5) = 2 pi^2 / 6.75
     assert rt.closed_form_trig(1.5) == pytest.approx(2.0 * PI2 / 6.75, rel=1e-14)
+
+
+def test_trig_form_near_one_matches_high_precision():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+
+    def reference(n):
+        x = mpmath.pi / mpmath.mpf(n)
+        return -(mpmath.pi / mpmath.mpf(n)) ** 2 * mpmath.cot(x) / mpmath.sin(x)
+
+    # here pi/n rounds next to pi; taken as the angle, it gives relative
+    # errors of 0.52, 1.2e-4 and 3e-9
+    grid = [1.0 + 2.0**-52, 1.0 + 1e-12, 1.0 + 1e-8]
+    grid += [1.0 + 2.0 * k / 400.0 for k in range(1, 400)]
+    for n in grid:
+        ref = reference(n)
+        err = abs(rt.closed_form_trig(n) - ref) / max(1, abs(ref))
+        assert err <= 2e-15, n
+
+
+def test_trig_form_from_two_up_is_unchanged():
+    # recorded before the n < 2 branch existed; n >= 2 must not move a bit
+    recorded = {
+        2.0: "-0x1.5c60b0d7bef4cp-53",
+        2.5: "-0x1.1439045db186ep-1",
+        math.e: "-0x1.4954a80807a19p-1",
+        10.0: "-0x1.f74829fda5652p-1",
+        660.0: "-0x1.ffff814a02c3ep-1",
+        1e6: "-0x1.fffffffffc61ep-1",
+    }
+    for n, value in recorded.items():
+        assert rt.closed_form_trig(n) == float.fromhex(value), n
 
 
 def test_trigamma_form_cancels_exactly_at_two():
@@ -115,7 +147,7 @@ def test_gamma_derivative_never_calls_quadrature(monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_finite", boom)
     monkeypatch.setattr(quadrature, "integrate_semi_infinite", boom)
     monkeypatch.setattr(quadrature, "integrate_bilateral", boom)
-    monkeypatch.setattr(rt, "integrate_finite", boom)
+    monkeypatch.setattr(rt, "integrate_semi_infinite", boom)
     monkeypatch.setattr(rt, "integrate_bilateral", boom)
     rt.closed_form_trigamma(3.0)
     rt.closed_form_gamma_derivative(3.0)
@@ -145,11 +177,23 @@ def test_numeric_independent_of_special_functions(monkeypatch):
     assert outcome.converged
 
 
-def test_numeric_never_claims_convergence_on_a_non_finite_result():
-    # near n = 1 the quadrature overflows to inf; that is not convergence
-    outcome = rt.numeric_I(1.02)
-    finite = math.isfinite(outcome.value) and math.isfinite(outcome.error_estimate)
-    assert finite or not outcome.converged
+@given(st.floats(min_value=1.0, max_value=1e12, exclude_min=True))
+@example(1.0 + 2.0**-52)
+@example(1.0116)
+@example(1.02)
+@example(1.034)
+@example(660.0)
+@example(4000.0)
+@example(7800.0)
+def test_numeric_follows_the_closed_form_over_the_whole_domain(n):
+    # |I| grows like 1/(n-1)^2 as n -> 1; the route must follow it there
+    # without raising, and stay honest about what it claims
+    outcome = rt.numeric_I(n)
+    if outcome.converged:
+        assert math.isfinite(outcome.value)
+        assert math.isfinite(outcome.error_estimate)
+    reference = rt.closed_form_trig(n)
+    assert abs(outcome.value - reference) <= 1e-10 * max(1.0, abs(reference))
 
 
 def test_numeric_respects_eval_budget():
