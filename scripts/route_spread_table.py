@@ -7,6 +7,7 @@ product) dominates the spread and how the quadrature cost scales with n.
 
 import argparse
 
+from logint.cli import _grid
 from logint.routes import evaluate_all_routes
 
 
@@ -17,8 +18,7 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=25)
     args = parser.parse_args()
 
-    ratio = args.max / args.min
-    grid = [args.min * ratio ** (i / (args.steps - 1)) for i in range(args.steps)]
+    grid = _grid(args.min, args.max, args.steps, "log")
 
     print(f"{'n':>12s} {'I(n)':>22s} {'spread':>12s} {'quad evals':>11s} {'converged':>10s}")
     worst = (0.0, None)

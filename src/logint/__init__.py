@@ -1,7 +1,7 @@
 """Closed-form and quadrature evaluation of I(n) = int_0^inf ln(x)/(x^n+1) dx.
 
 Three closed-form routes (trig, trigamma, differentiated gamma product)
-plus a direct tanh-sinh quadrature oracle, built on a from-scratch special
+plus a direct exp-sinh quadrature oracle, built on a from-scratch special
 function layer and a deterministic double-exponential quadrature engine;
 the identity chain behind the closed form is re-executed numerically by
 the verify_* procedures.
@@ -29,7 +29,6 @@ from .quadrature import (
     integrate_bilateral,
 )
 from .routes import (
-    Exponent,
     Subject,
     VerificationReport,
     EvaluationRow,
@@ -44,7 +43,6 @@ from .routes import (
     verify_lemma2,
     verify_lemma3,
     verify_theorem,
-    verify_intermediate_collapse,
     limit_probe,
 )
 
@@ -68,7 +66,6 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_bilateral",
-    "Exponent",
     "Subject",
     "VerificationReport",
     "EvaluationRow",
@@ -83,7 +80,6 @@ __all__ = [
     "verify_lemma2",
     "verify_lemma3",
     "verify_theorem",
-    "verify_intermediate_collapse",
     "limit_probe",
     "__version__",
 ]

@@ -65,7 +65,7 @@ def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
 
 def _row_dict(row: routes.EvaluationRow) -> dict:
     return {
-        "n": row.n.n,
+        "n": row.n,
         "trig_form": row.trig_form,
         "trigamma_form": row.trigamma_form,
         "gamma_derivative_form": row.gamma_derivative_form,
@@ -77,7 +77,7 @@ def _row_dict(row: routes.EvaluationRow) -> dict:
 
 def _print_eval_human(row: routes.EvaluationRow, threshold: float) -> None:
     quad = row.quadrature
-    print(f"I(n) for n = {_fmt10(row.n.n)}")
+    print(f"I(n) for n = {_fmt10(row.n)}")
     print(f"  trig closed form       {_fmt10(row.trig_form)}")
     print(f"  trigamma closed form   {_fmt10(row.trigamma_form)}")
     print(f"  gamma derivative       {_fmt10(row.gamma_derivative_form)}")
@@ -136,7 +136,7 @@ def _run_table(args: argparse.Namespace) -> int:
         print(header)
         for row in rows:
             print(
-                f"{_fmt10(row.n.n):>14s} {_fmt10(row.trig_form):>20s}"
+                f"{_fmt10(row.n):>14s} {_fmt10(row.trig_form):>20s}"
                 f" {row.max_pairwise_spread:>12.3e}"
             )
     if any(not row.quadrature.converged for row in rows):

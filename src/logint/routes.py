@@ -14,9 +14,13 @@ The verification subjects follow the derivation chain:
 * lemma2 - that combination equals a power of pi times a derivative of
   cot (the reflection identity, differentiated);
 * lemma3 - the plain trig identity sec^2 x - csc^2 x = -4 cot 2x csc 2x;
-* theorem - all four routes to I(n) agree;
-* intermediate - the sec/csc combination at pi/(2n) that lemma3 collapses
-  into the final cot*csc form.
+* theorem - the derivation chain agrees with itself at each n: direct
+  quadrature, the trigamma combination, the sec/csc form at pi/(2n) and
+  the collapsed cot*csc form.
+
+``evaluate_all_routes`` compares a different four: the paper's Result
+line, with the differentiated gamma product in place of the sec/csc form.
+n is a plain float throughout, checked on entry.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "Exponent",
     "Subject",
     "VerificationReport",
     "EvaluationRow",
@@ -50,7 +53,6 @@ __all__ = [
     "verify_lemma2",
     "verify_lemma3",
     "verify_theorem",
-    "verify_intermediate_collapse",
     "limit_probe",
     "DEFAULT_LEMMA1_GRID",
     "DEFAULT_LEMMA2_GRID",
@@ -65,7 +67,7 @@ __all__ = [
 _HALF_PI = math.pi / 2.0
 
 # ~cbrt(double epsilon): the classic central-difference step compromise
-# between truncation and roundoff; scaled by n at the call site.
+# between truncation and roundoff; scaled by n in the gamma-derivative route.
 DEFAULT_DIFFERENTIATION_STEP = 6e-6
 
 # Taylor guard for the removable singularity of t/(1 - e^(-t)); four terms
@@ -73,25 +75,17 @@ DEFAULT_DIFFERENTIATION_STEP = 6e-6
 _SERIES_RADIUS = 1e-4
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """Exponent of the denominator x**n + 1; the tail integral needs n > 1."""
-
-    n: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", float(self.n))
-        if not math.isfinite(self.n):
-            raise ValueError(f"exponent must be finite, got {self.n!r}")
-        if self.n <= 1.0:
-            raise ValueError(
-                "n must exceed 1: for n <= 1 the integrand decays like ln(x)/x "
-                f"or slower and the integral diverges (got {self.n!r})"
-            )
-
-
-def _value(n: "Exponent | float") -> float:
-    return n.n if isinstance(n, Exponent) else Exponent(n).n
+def _check_n(n: float) -> float:
+    """The exponent of x**n + 1 as a float; the tail integral needs n > 1."""
+    v = float(n)
+    if not math.isfinite(v):
+        raise ValueError(f"exponent must be finite, got {v!r}")
+    if v <= 1.0:
+        raise ValueError(
+            "n must exceed 1: for n <= 1 the integrand decays like ln(x)/x "
+            f"or slower and the integral diverges (got {v!r})"
+        )
+    return v
 
 
 class Subject(Enum):
@@ -101,8 +95,6 @@ class Subject(Enum):
     LEMMA2 = "lemma2"
     LEMMA3 = "lemma3"
     THEOREM1 = "theorem"
-    INTERMEDIATE = "intermediate"
-    LIMIT = "limit"
 
 
 @dataclass(frozen=True)
@@ -152,7 +144,7 @@ def _make_report(
 class EvaluationRow:
     """All four routes to I(n) side by side, with their worst disagreement."""
 
-    n: Exponent
+    n: float
     trig_form: float
     trigamma_form: float
     gamma_derivative_form: float
@@ -160,13 +152,13 @@ class EvaluationRow:
     max_pairwise_spread: float
 
 
-def closed_form_trig(n: "Exponent | float") -> float:
+def closed_form_trig(n: float) -> float:
     """-(pi^2/n^2) cot(pi/n) csc(pi/n), the fully collapsed closed form.
 
     For n < 2 the angle is written pi - y, y = pi (n-1)/n with n - 1 exact,
     because pi/n itself rounds next to pi as n -> 1 and sin(pi/n) is lost.
     """
-    v = _value(n)
+    v = _check_n(n)
     if v < 2.0:
         y = math.pi * ((v - 1.0) / v)
         s = math.sin(y)
@@ -176,30 +168,37 @@ def closed_form_trig(n: "Exponent | float") -> float:
     return -(math.pi * math.pi) / (v * v) * math.cos(x) / (s * s)
 
 
-def closed_form_trigamma(n: "Exponent | float") -> float:
+def closed_form_trigamma(n: float) -> float:
     """The four-term trigamma combination the derivation reaches first.
 
     (1/4n^2) [psi'(1/2 - 1/2n) + psi'(1/2 + 1/2n)
               - psi'(1 - 1/2n) - psi'(1/2n)]
     All four arguments are positive for n > 1.  Does not use quadrature.
+    For n < 2 the first argument is formed as (1/2)(n-1)/n, with n - 1
+    exact, because 1/2 - 1/2n cancels as n -> 1.
     """
-    v = _value(n)
+    v = _check_n(n)
     half = 0.5 / v
+    low = 0.5 * ((v - 1.0) / v) if v < 2.0 else 0.5 - half
     tg = specfun.trigamma
-    combo = tg(0.5 - half) + tg(0.5 + half) - tg(1.0 - half) - tg(half)
+    combo = tg(low) + tg(0.5 + half) - tg(1.0 - half) - tg(half)
     return combo / (4.0 * v * v)
 
 
-def intermediate_form(n: "Exponent | float") -> float:
+def intermediate_form(n: float) -> float:
     """(pi^2/4n^2) [sec^2(pi/2n) - csc^2(pi/2n)].
 
     The halfway-collapsed form; the double-angle identity (lemma3 subject)
-    turns it into closed_form_trig exactly.
+    turns it into closed_form_trig exactly.  For n < 2 the angle is written
+    pi/2 - y, y = (pi/2)(n-1)/n, as in closed_form_trig.
     """
-    v = _value(n)
-    x = _HALF_PI / v
-    c = math.cos(x)
-    s = math.sin(x)
+    v = _check_n(n)
+    if v < 2.0:
+        y = _HALF_PI * ((v - 1.0) / v)
+        c, s = math.sin(y), math.cos(y)
+    else:
+        x = _HALF_PI / v
+        c, s = math.cos(x), math.sin(x)
     return (math.pi * math.pi) / (4.0 * v * v) * (1.0 / (c * c) - 1.0 / (s * s))
 
 
@@ -208,28 +207,20 @@ def _gamma_product(v: float) -> float:
     return math.exp(specfun.lgamma(1.0 - inv) + specfun.lgamma(inv))
 
 
-def closed_form_gamma_derivative(
-    n: "Exponent | float", h_rel: float = DEFAULT_DIFFERENTIATION_STEP
-) -> float:
+def closed_form_gamma_derivative(n: float) -> float:
     """-d/dn [Gamma(1 - 1/n) Gamma(1/n)] by central difference.
 
     The product goes through lgamma; agreement with closed_form_trig is
     limited by the finite-difference step to roughly 1e-8 relative.
     """
-    v = _value(n)
-    if not (0.0 < h_rel < 0.1):
-        raise ValueError(f"h_rel must be a small positive fraction, got {h_rel!r}")
-    if v <= 1.0 + 2.0 * h_rel * v:
-        raise ValueError(
-            f"n = {v!r} leaves no room for the difference step h = {h_rel * v!r}"
-        )
-    h = h_rel * v
+    v = _check_n(n)
+    h = DEFAULT_DIFFERENTIATION_STEP * v
+    if v <= 1.0 + 2.0 * h:
+        raise ValueError(f"n = {v!r} leaves no room for the difference step h = {h!r}")
     return -(_gamma_product(v + h) - _gamma_product(v - h)) / (2.0 * h)
 
 
-def numeric_I(
-    n: "Exponent | float", cfg: QuadratureConfig | None = None
-) -> QuadratureOutcome:
+def numeric_I(n: float, cfg: QuadratureConfig | None = None) -> QuadratureOutcome:
     """Direct quadrature of the defining integral; the oracle route.
 
     x = e^(-s) on (0, 1) and x = e^s on (1, inf) fold both halves onto
@@ -238,7 +229,7 @@ def numeric_I(
     the slow decay as n -> 1, where |I| grows like 1/(n-1)^2, is followed
     rather than cut off.  No special-function code is involved.
     """
-    v = _value(n)
+    v = _check_n(n)
     m = v - 1.0
 
     def integrand(s: float) -> float:
@@ -247,20 +238,22 @@ def numeric_I(
     return integrate_semi_infinite(integrand, 0.0, cfg)
 
 
-def evaluate_all_routes(
-    n: "Exponent | float", cfg: QuadratureConfig | None = None
-) -> EvaluationRow:
-    """Populate every route and the maximum pairwise disagreement."""
-    exponent = n if isinstance(n, Exponent) else Exponent(n)
-    quad = numeric_I(exponent, cfg)
+def evaluate_all_routes(n: float, cfg: QuadratureConfig | None = None) -> EvaluationRow:
+    """The paper's Result line, route by route, and their widest disagreement.
+
+    Routes: the trig form, the trigamma combination, the differentiated
+    gamma product and direct quadrature.
+    """
+    v = _check_n(n)
+    quad = numeric_I(v, cfg)
     values = (
-        closed_form_trig(exponent),
-        closed_form_trigamma(exponent),
-        closed_form_gamma_derivative(exponent),
+        closed_form_trig(v),
+        closed_form_trigamma(v),
+        closed_form_gamma_derivative(v),
         quad.value,
     )
     return EvaluationRow(
-        n=exponent,
+        n=v,
         trig_form=values[0],
         trigamma_form=values[1],
         gamma_derivative_form=values[2],
@@ -392,72 +385,52 @@ def verify_lemma3(
 
 
 def verify_theorem(
-    n_grid: Sequence["Exponent | float"] = DEFAULT_THEOREM_GRID,
+    n_grid: Sequence[float] = DEFAULT_THEOREM_GRID,
     cfg: QuadratureConfig | None = None,
     tol: float = DEFAULT_THEOREM_TOL,
 ) -> VerificationReport:
-    """Spread across all four routes to I(n), per grid point.
+    """Spread across the derivation chain's four forms of I(n), per grid point.
 
     Covers the whole chain at once: direct quadrature, the trigamma
     combination, the sec/csc intermediate, and the collapsed trig form.
+    The sec/csc form stands where ``evaluate_all_routes`` has the gamma
+    product, so lemma3's collapse is checked at every grid point.
     """
     if cfg is None:
         cfg = QuadratureConfig()
     points: list[tuple[float, ...]] = []
     deviations: list[float] = []
     for n in n_grid:
-        exponent = n if isinstance(n, Exponent) else Exponent(n)
-        quad = numeric_I(exponent, cfg)
+        v = _check_n(n)
+        quad = numeric_I(v, cfg)
         values = (
             quad.value,
-            closed_form_trigamma(exponent),
-            intermediate_form(exponent),
-            closed_form_trig(exponent),
+            closed_form_trigamma(v),
+            intermediate_form(v),
+            closed_form_trig(v),
         )
         spread = max(values) - min(values) if quad.converged else math.inf
         deviations.append(spread)
-        points.append((exponent.n,))
+        points.append((v,))
     return _make_report(Subject.THEOREM1, points, deviations, tol)
 
 
-def verify_intermediate_collapse(
-    n_grid: Sequence["Exponent | float"],
-    tol: float = 1e-12,
-) -> VerificationReport:
-    """intermediate_form vs. closed_form_trig, relative, per grid point.
-
-    This is the double-angle identity evaluated at x = pi/(2n); it needs
-    no quadrature and should agree near machine precision.
-    """
-    points: list[tuple[float, ...]] = []
-    deviations: list[float] = []
-    for n in n_grid:
-        v = _value(n)
-        reference = closed_form_trig(v)
-        dev = abs(intermediate_form(v) - reference) / max(1.0, abs(reference))
-        deviations.append(dev)
-        points.append((v,))
-    return _make_report(Subject.INTERMEDIATE, points, deviations, tol)
-
-
-def limit_probe(
-    n_list: Sequence["Exponent | float"],
-) -> list[tuple[float, float, float]]:
+def limit_probe(n_list: Sequence[float]) -> list[tuple[float, float, float]]:
     """Closed-form values along an ascending n list, with residual I(n) + 1.
 
     The residuals decay like 1/n^2 toward the limit value -1; callers
     check positivity and monotone decrease.
     """
-    exponents = [n if isinstance(n, Exponent) else Exponent(n) for n in n_list]
-    if not exponents:
+    ns = [_check_n(n) for n in n_list]
+    if not ns:
         raise ValueError("n_list must not be empty")
-    for prev, cur in zip(exponents, exponents[1:]):
-        if cur.n <= prev.n:
+    for prev, cur in zip(ns, ns[1:]):
+        if cur <= prev:
             raise ValueError(
-                f"n_list must be strictly ascending, got {prev.n!r} before {cur.n!r}"
+                f"n_list must be strictly ascending, got {prev!r} before {cur!r}"
             )
     rows = []
-    for exponent in exponents:
-        value = closed_form_trig(exponent)
-        rows.append((exponent.n, value, value + 1.0))
+    for v in ns:
+        value = closed_form_trig(v)
+        rows.append((v, value, value + 1.0))
     return rows

@@ -182,7 +182,7 @@ def test_eval_csv_round_trips_exactly(capsys):
     values = [float(cell) for cell in next(reader)]
     row = routes.evaluate_all_routes(3.0)
     expected = [
-        row.n.n,
+        row.n,
         row.trig_form,
         row.trigamma_form,
         row.gamma_derivative_form,

@@ -15,28 +15,59 @@ from oracles import zeta_partial
 PI2 = math.pi * math.pi
 
 
-# ---------------------------------------------------------------- Exponent
+# ---------------------------------------------------------------- exponent
+
+BAD_EXPONENTS = [1.0, 0.0, -3.0, math.nan, math.inf, -math.inf]
+
 
 def test_exponent_accepts_and_normalizes():
-    assert rt.Exponent(3).n == 3.0
-    assert rt.Exponent(1.000001).n == 1.000001
+    assert rt._check_n(3) == 3.0
+    assert type(rt._check_n(3)) is float
+    assert rt._check_n(1.000001) == 1.000001
 
 
-@pytest.mark.parametrize("bad", [1.0, 0.0, -3.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", BAD_EXPONENTS)
 def test_exponent_rejects(bad):
     with pytest.raises(ValueError):
-        rt.Exponent(bad)
+        rt._check_n(bad)
 
 
 @given(st.floats(max_value=1.0, allow_nan=False))
 def test_exponent_rejects_everything_at_or_below_one(n):
     with pytest.raises(ValueError):
-        rt.Exponent(n)
+        rt._check_n(n)
 
 
 @given(st.floats(min_value=1.0000001, max_value=1e12))
 def test_exponent_accepts_everything_above_one(n):
-    assert rt.Exponent(n).n == n
+    assert rt._check_n(n) == n
+
+
+def verify_theorem_at(n):
+    return rt.verify_theorem(n_grid=(n,))
+
+
+def limit_probe_at(n):
+    return rt.limit_probe([n])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        rt.closed_form_trig,
+        rt.closed_form_trigamma,
+        rt.intermediate_form,
+        rt.closed_form_gamma_derivative,
+        rt.numeric_I,
+        rt.evaluate_all_routes,
+        verify_theorem_at,
+        limit_probe_at,
+    ],
+)
+@pytest.mark.parametrize("bad", BAD_EXPONENTS)
+def test_every_public_function_taking_n_rejects_bad_exponents(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)
 
 
 # ------------------------------------------------------------ closed forms
@@ -51,7 +82,10 @@ def test_trig_form_special_values():
     assert rt.closed_form_trig(1.5) == pytest.approx(2.0 * PI2 / 6.75, rel=1e-14)
 
 
-def test_trig_form_near_one_matches_high_precision():
+@pytest.mark.parametrize(
+    "form", [rt.closed_form_trig, rt.intermediate_form, rt.closed_form_trigamma]
+)
+def test_trig_form_near_one_matches_high_precision(form):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
 
@@ -60,12 +94,13 @@ def test_trig_form_near_one_matches_high_precision():
         return -(mpmath.pi / mpmath.mpf(n)) ** 2 * mpmath.cot(x) / mpmath.sin(x)
 
     # here pi/n rounds next to pi; taken as the angle, it gives relative
-    # errors of 0.52, 1.2e-4 and 3e-9
+    # errors of 0.52, 1.2e-4 and 3e-9 (pi/2n in the sec/csc form likewise),
+    # and 1/2 - 1/2n in the trigamma form cancels to 2e-12 and 2.2e-9
     grid = [1.0 + 2.0**-52, 1.0 + 1e-12, 1.0 + 1e-8]
     grid += [1.0 + 2.0 * k / 400.0 for k in range(1, 400)]
     for n in grid:
         ref = reference(n)
-        err = abs(rt.closed_form_trig(n) - ref) / max(1, abs(ref))
+        err = abs(form(n) - ref) / max(1, abs(ref))
         assert err <= 2e-15, n
 
 
@@ -81,6 +116,21 @@ def test_trig_form_from_two_up_is_unchanged():
     }
     for n, value in recorded.items():
         assert rt.closed_form_trig(n) == float.fromhex(value), n
+
+
+def test_intermediate_and_trigamma_forms_from_two_up_are_unchanged():
+    # recorded before their n < 2 branches existed; n >= 2 must not move a bit
+    recorded = {
+        2.0: ("-0x1.3bd3cc9be45dep-51", "0x0.0p+0"),
+        2.5: ("-0x1.1439045db186ep-1", "-0x1.1439045db186cp-1"),
+        math.e: ("-0x1.4954a80807a1ap-1", "-0x1.4954a80807a17p-1"),
+        10.0: ("-0x1.f74829fda5653p-1", "-0x1.f74829fda5653p-1"),
+        660.0: ("-0x1.ffff814a02c3fp-1", "-0x1.ffff814a02c40p-1"),
+        1e6: ("-0x1.fffffffffc61dp-1", "-0x1.fffffffffc621p-1"),
+    }
+    for n, (intermediate, trigamma) in recorded.items():
+        assert rt.intermediate_form(n) == float.fromhex(intermediate), n
+        assert rt.closed_form_trigamma(n) == float.fromhex(trigamma), n
 
 
 def test_trigamma_form_cancels_exactly_at_two():
@@ -103,10 +153,12 @@ def test_route_equivalence_on_log_grid():
 
 
 def test_intermediate_collapses_to_trig_form():
-    grid = [1.01 * (1e4 / 1.01) ** (k / 49.0) for k in range(50)]
-    report = rt.verify_intermediate_collapse(grid, tol=1e-12)
-    assert report.passed
-    assert report.subject is rt.Subject.INTERMEDIATE
+    # the double-angle identity (lemma3) at x = pi/(2n)
+    for k in range(50):
+        n = 1.01 * (1e4 / 1.01) ** (k / 49.0)
+        trig = rt.closed_form_trig(n)
+        diff = abs(trig - rt.intermediate_form(n))
+        assert diff <= 1e-12 * max(1.0, abs(trig)), n
 
 
 @given(st.floats(min_value=1.01, max_value=1.99))
@@ -135,8 +187,6 @@ def test_gamma_derivative_near_zero_at_two():
 def test_gamma_derivative_rejects_cramped_domain():
     with pytest.raises(ValueError):
         rt.closed_form_gamma_derivative(1.0000001)
-    with pytest.raises(ValueError):
-        rt.closed_form_gamma_derivative(3.0, h_rel=0.5)
 
 
 def test_gamma_derivative_never_calls_quadrature(monkeypatch):
