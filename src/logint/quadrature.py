@@ -4,7 +4,7 @@
 integrable endpoint singularities (ln x, inverse square roots) without any
 subdivision logic; ``integrate_semi_infinite`` is the exp-sinh analogue for
 half-lines, and ``integrate_bilateral`` folds the real line at zero into
-two half-line integrals.
+one half-line integral of f(t) + f(-t).
 
 Refinement halves the trapezoid step once per level.  The nodes of a level
 do not depend on the interval, so each transform builds a table of them per
@@ -311,21 +311,18 @@ def integrate_bilateral(
     f: Callable[[float], float],
     cfg: QuadratureConfig | None = None,
 ) -> QuadratureOutcome:
-    """Integrate f over the whole real line, split at zero.
+    """Integrate f over the whole real line, folded at zero.
 
-    Implemented as the half-line integral of f(t) plus that of f(-t), so a
-    removable singularity at 0 never gets sampled; the caller supplies the
-    limit-safe integrand.  The error estimate is the sum of the two
-    half-line estimates.
+    Implemented as one half-line integral of f(t) + f(-t), so a removable
+    singularity at 0 never gets sampled; the caller supplies the
+    limit-safe integrand.  The error estimate is the folded integral's
+    own.  The budget and the evaluation count are in calls of f, two per
+    node; a budget below two calls evaluates nothing.
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    half_cfg = replace(cfg, max_evals=max(1, cfg.max_evals // 2))
-    positive = integrate_semi_infinite(f, 0.0, half_cfg)
-    negative = integrate_semi_infinite(lambda t: f(-t), 0.0, half_cfg)
-    return QuadratureOutcome(
-        positive.value + negative.value,
-        positive.error_estimate + negative.error_estimate,
-        positive.evaluations + negative.evaluations,
-        positive.converged and negative.converged,
-    )
+    if cfg.max_evals < 2:
+        return QuadratureOutcome(0.0, math.inf, 0, False)
+    half_cfg = replace(cfg, max_evals=cfg.max_evals // 2)
+    folded = integrate_semi_infinite(lambda t: f(t) + f(-t), 0.0, half_cfg)
+    return replace(folded, evaluations=2 * folded.evaluations)

@@ -211,7 +211,8 @@ def closed_form_gamma_derivative(n: float) -> float:
     """-d/dn [Gamma(1 - 1/n) Gamma(1/n)] by central difference.
 
     The product goes through lgamma; agreement with closed_form_trig is
-    limited by the finite-difference step to roughly 1e-8 relative.
+    limited by the finite-difference step to about 1e-8 relative for
+    n >= 1.1, and to about 1e-7 near n = 1.02.
     """
     v = _check_n(n)
     h = DEFAULT_DIFFERENTIATION_STEP * v

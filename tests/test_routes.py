@@ -350,7 +350,19 @@ def test_lemma1_center_point_reproduces_pi_squared():
 def test_lemma1_even_order_cancels_at_center():
     outcome = integrate_bilateral(rt.lemma1_integrand(2, 0.5))
     assert outcome.converged
-    assert abs(outcome.value) <= 1e-6
+    assert outcome.value == 0.0
+
+
+@pytest.mark.parametrize("z", sorted(set(rt.DEFAULT_LEMMA1_GRID) | {0.12, 0.88}))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lemma1_quadrature_is_honest(m, z):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    w = mpmath.mpf(z)
+    ref = mpmath.polygamma(m, 1 - w) + (-1) ** (m + 1) * mpmath.polygamma(m, w)
+    outcome = integrate_bilateral(rt.lemma1_integrand(m, z))
+    assert outcome.converged
+    assert abs(outcome.value - ref) <= 10.0 * outcome.error_estimate
 
 
 def test_verify_lemma2_passes_and_matches_cosecant_form():
