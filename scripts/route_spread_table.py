@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep a log-spaced n grid and report how far the four routes drift apart.
 
-A quick way to see where the weakest route (the finite-difference gamma
-product) dominates the spread and how the quadrature cost scales with n.
+A quick way to see which n make the routes disagree most (the spread is
+absolute, so it grows with |I| as n -> 1) and how the quadrature cost
+scales with n.
 """
 
 import argparse

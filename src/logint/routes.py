@@ -66,10 +66,6 @@ __all__ = [
 
 _HALF_PI = math.pi / 2.0
 
-# ~cbrt(double epsilon): the classic central-difference step compromise
-# between truncation and roundoff; scaled by n in the gamma-derivative route.
-DEFAULT_DIFFERENTIATION_STEP = 6e-6
-
 # Taylor guard for the removable singularity of t/(1 - e^(-t)); four terms
 # keep the relative error under 1e-16 at this radius.
 _SERIES_RADIUS = 1e-4
@@ -202,23 +198,21 @@ def intermediate_form(n: float) -> float:
     return (math.pi * math.pi) / (4.0 * v * v) * (1.0 / (c * c) - 1.0 / (s * s))
 
 
-def _gamma_product(v: float) -> float:
-    inv = 1.0 / v
-    return math.exp(specfun.lgamma(1.0 - inv) + specfun.lgamma(inv))
-
-
 def closed_form_gamma_derivative(n: float) -> float:
-    """-d/dn [Gamma(1 - 1/n) Gamma(1/n)] by central difference.
+    """-d/dn [Gamma(1 - 1/n) Gamma(1/n)], differentiated exactly.
 
-    The product goes through lgamma; agreement with closed_form_trig is
-    limited by the finite-difference step to about 1e-8 relative for
-    n >= 1.1, and to about 1e-7 near n = 1.02.
+    With a = 1 - 1/n, b = 1/n and psi = Gamma'/Gamma, the chain rule gives
+    -Gamma(a) Gamma(b) [psi(a) - psi(b)] / n^2; the product goes through
+    lgamma.  For n < 2, a is formed as (n-1)/n, with n - 1 exact, as in
+    closed_form_trig.  Dividing by n twice, not by n^2, keeps every
+    intermediate finite up to the largest double.  Uses lgamma and digamma
+    only: no quadrature and no Hurwitz zeta, unlike the trigamma route.
     """
     v = _check_n(n)
-    h = DEFAULT_DIFFERENTIATION_STEP * v
-    if v <= 1.0 + 2.0 * h:
-        raise ValueError(f"n = {v!r} leaves no room for the difference step h = {h!r}")
-    return -(_gamma_product(v + h) - _gamma_product(v - h)) / (2.0 * h)
+    b = 1.0 / v
+    a = (v - 1.0) / v if v < 2.0 else 1.0 - b
+    p = math.exp(specfun.lgamma(a) + specfun.lgamma(b))
+    return -(p / v) * ((specfun.digamma(a) - specfun.digamma(b)) / v)
 
 
 def numeric_I(n: float, cfg: QuadratureConfig | None = None) -> QuadratureOutcome:

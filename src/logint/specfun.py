@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "DomainError",
@@ -44,18 +43,19 @@ class UnsupportedOrderError(ValueError):
 #: Order 12 keeps every CotPolynomial coefficient well inside 64-bit range.
 MAX_DERIVATIVE_ORDER = 12
 
-# Bernoulli numbers B_2 .. B_16 as exact rationals.
-# Source: OEIS A027641 / A027642 (numerators / denominators).
-_BERNOULLI = {
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-    14: Fraction(7, 6),
-    16: Fraction(-3617, 510),
-}
+# Bernoulli numbers B_2k, k = 1..8, as exact (numerator, denominator) pairs
+# (OEIS A027641 / A027642).  Each series constant below is one int / int
+# division, which Python rounds correctly.
+_BERNOULLI = (
+    (1, 6),
+    (-1, 30),
+    (1, 42),
+    (-1, 30),
+    (5, 66),
+    (-691, 2730),
+    (7, 6),
+    (-3617, 510),
+)
 
 _HALF_LN_TWO_PI = 0.9189385332046727  # ln(2*pi)/2
 
@@ -66,16 +66,20 @@ _ASYMPTOTIC_START = 12.0
 # ln Gamma(x) ~ (x - 1/2) ln x - x + ln(2 pi)/2 + sum_k c_k x^(1-2k)
 # with c_k = B_2k / (2k (2k-1)).
 _LGAMMA_SERIES = tuple(
-    float(_BERNOULLI[2 * k] / (2 * k * (2 * k - 1))) for k in range(1, 9)
+    num / (den * 2 * k * (2 * k - 1))
+    for k, (num, den) in enumerate(_BERNOULLI, start=1)
 )
 
 # psi(x) ~ ln x - 1/(2x) - sum_k d_k x^(-2k) with d_k = B_2k / (2k).
-_DIGAMMA_SERIES = tuple(float(_BERNOULLI[2 * k] / (2 * k)) for k in range(1, 8))
+_DIGAMMA_SERIES = tuple(
+    num / (den * 2 * k) for k, (num, den) in enumerate(_BERNOULLI[:7], start=1)
+)
 
 # Euler-Maclaurin corrections for the zeta tail: B_2j / (2j)!.
 _ZETA_HEAD_TERMS = 16
 _ZETA_SERIES = tuple(
-    float(_BERNOULLI[2 * j] / math.factorial(2 * j)) for j in range(1, 7)
+    num / (den * math.factorial(2 * j))
+    for j, (num, den) in enumerate(_BERNOULLI[:6], start=1)
 )
 
 # Below this |sin x| a double-precision cot carries no information.

@@ -69,8 +69,8 @@ def test_criterion_04_gamma_derivative_route():
         trig = routes.closed_form_trig(n)
         dev = abs(routes.closed_form_gamma_derivative(n) - trig) / max(1.0, abs(trig))
         worst = max(worst, dev)
-    report(4, "gamma-derivative route agrees to 1e-6",
-           worst <= 1e-6, f"worst rel dev={worst:.2e}")
+    report(4, "gamma-derivative route agrees to 1e-13",
+           worst <= 1e-13, f"worst rel dev={worst:.2e}")
 
 
 def test_criterion_05_lemma1_verifier():

@@ -38,8 +38,11 @@ def test_eval_domain_error(capsys):
 
 
 def test_eval_spread_threshold_failure(capsys):
-    code, _, _ = run_cli(["eval", "--n", "3", "--tol", "1e-15"], capsys)
+    # |I| ~ 1e14 here, so the routes' rounding alone spreads them by ~0.4,
+    # far above the default 1e-6 gate
+    code, out, _ = run_cli(["eval", "--n", "1.0000001"], capsys)
     assert code == cli.EXIT_NO_CONVERGENCE
+    assert "EXCEEDED" in out
 
 
 def test_eval_quadrature_nonconvergence(capsys):
@@ -62,15 +65,16 @@ def test_eval_arithmetic_error_is_no_convergence(capsys, monkeypatch):
 
 
 def test_eval_near_one_prints_a_finite_quadrature_value(capsys):
-    # |I| ~ 1e4 at n = 1.01; quadrature follows it, but the gamma-derivative
-    # route's absolute spread (~4e-3) still exceeds the 1e-6 spread gate
+    # |I| ~ 1e4 at n = 1.01; quadrature and the exact gamma derivative both
+    # follow it, and every route stays inside the 1e-6 spread gate
     code, out, _ = run_cli(["eval", "--n", "1.01", "--format", "csv"], capsys)
-    assert code == cli.EXIT_NO_CONVERGENCE
+    assert code == cli.EXIT_OK
     row = next(csv.DictReader(io.StringIO(out)))
     quad = float(row["quadrature_value"])
     trig = float(row["trig_form"])
     assert math.isfinite(quad)
     assert abs(quad - trig) <= 1e-10 * abs(trig)
+    assert abs(float(row["gamma_derivative_form"]) - trig) <= 1e-13 * abs(trig)
 
 
 def test_table_bad_ranges(capsys):
@@ -286,3 +290,16 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["trig_form"] == pytest.approx(-2.0 * math.pi**2 / 27.0, rel=1e-12)
+
+
+def test_import_leaves_fractions_unloaded():
+    # the special-function constants are int / int divisions, so a cold
+    # start pays for no rational-arithmetic module
+    src = os.path.dirname(os.path.dirname(logint.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, logint.cli; print('fractions' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -177,16 +177,28 @@ def test_gamma_derivative_route_agreement():
     for n in (1.5, 2.0, 3.0, 4.0, 10.0):
         trig = rt.closed_form_trig(n)
         dev = abs(rt.closed_form_gamma_derivative(n) - trig)
-        assert dev <= 1e-6 * max(1.0, abs(trig)), n
+        assert dev <= 1e-13 * max(1.0, abs(trig)), n
 
 
 def test_gamma_derivative_near_zero_at_two():
-    assert abs(rt.closed_form_gamma_derivative(2.0)) <= 1e-8
+    assert rt.closed_form_gamma_derivative(2.0) == 0.0
 
 
-def test_gamma_derivative_rejects_cramped_domain():
-    with pytest.raises(ValueError):
-        rt.closed_form_gamma_derivative(1.0000001)
+def test_gamma_derivative_matches_high_precision():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def reference(n):
+        x = mpmath.pi / mpmath.mpf(n)
+        return -(mpmath.pi / mpmath.mpf(n)) ** 2 * mpmath.cot(x) / mpmath.sin(x)
+
+    # n - 1 down to one ulp, where |I| ~ 2e31, and n past 1.3e154, where
+    # n*n overflows
+    grid = (1.0000001, 1.0 + 2.0**-52, 1.0 + 1e-12, 1.005, 1e6, 1e155, 1e300, 1.7e308)
+    for n in grid:
+        ref = reference(n)
+        err = abs(rt.closed_form_gamma_derivative(n) - ref) / max(1, abs(ref))
+        assert err <= 1e-13, n
 
 
 def test_gamma_derivative_never_calls_quadrature(monkeypatch):
@@ -202,6 +214,15 @@ def test_gamma_derivative_never_calls_quadrature(monkeypatch):
     rt.closed_form_trigamma(3.0)
     rt.closed_form_gamma_derivative(3.0)
     rt.closed_form_trig(3.0)
+
+    def zeta(*args, **kwargs):
+        raise AssertionError("route 3 must not share route 2's Hurwitz zeta code")
+
+    # nor the Hurwitz zeta code behind the trigamma route (both branches)
+    for name in ("hurwitz_zeta", "polygamma", "trigamma"):
+        monkeypatch.setattr(specfun, name, zeta)
+    rt.closed_form_gamma_derivative(1.5)
+    rt.closed_form_gamma_derivative(3.0)
 
 
 # ------------------------------------------------------------ numeric route
