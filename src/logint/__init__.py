@@ -22,7 +22,6 @@ from .specfun import (
     cot_derivative,
 )
 from .quadrature import (
-    QuadratureConfig,
     QuadratureOutcome,
     integrate_finite,
     integrate_semi_infinite,
@@ -61,7 +60,6 @@ __all__ = [
     "trigamma",
     "cot_derivative_poly",
     "cot_derivative",
-    "QuadratureConfig",
     "QuadratureOutcome",
     "integrate_finite",
     "integrate_semi_infinite",

@@ -18,7 +18,7 @@ import sys
 from typing import Sequence
 
 from . import routes
-from .quadrature import QuadratureConfig
+from .quadrature import _check_tol
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -59,10 +59,6 @@ def _write_csv(fields: Sequence[str], rows: Sequence[dict]) -> None:
         )
 
 
-def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=args.quad_tol, rel_tol=args.quad_tol)
-
-
 def _row_dict(row: routes.EvaluationRow) -> dict:
     return {
         "n": row.n,
@@ -95,8 +91,7 @@ def _print_eval_human(row: routes.EvaluationRow, threshold: float) -> None:
 
 
 def _run_eval(args: argparse.Namespace) -> int:
-    cfg = _quad_config(args)
-    row = routes.evaluate_all_routes(args.n, cfg)
+    row = routes.evaluate_all_routes(args.n, args.quad_tol)
     threshold = _DEFAULT_SPREAD_THRESHOLD if args.tol is None else args.tol
     if args.fmt == "json":
         print(json.dumps(_row_dict(row)))
@@ -123,9 +118,8 @@ def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
 
 
 def _run_table(args: argparse.Namespace) -> int:
-    cfg = _quad_config(args)
     grid = _grid(args.min, args.max, args.steps, args.spacing)
-    rows = [routes.evaluate_all_routes(n, cfg) for n in grid]
+    rows = [routes.evaluate_all_routes(n, args.quad_tol) for n in grid]
     dicts = [_row_dict(row) for row in rows]
     if args.fmt == "json":
         print(json.dumps(dicts))
@@ -145,13 +139,13 @@ def _run_table(args: argparse.Namespace) -> int:
 
 
 def _collect_reports(
-    subject: str, cfg: QuadratureConfig, tol: float | None
+    subject: str, quad_tol: float, tol: float | None
 ) -> list[routes.VerificationReport]:
     reports = []
     if subject in ("lemma1", "all"):
         lemma1_tol = routes.DEFAULT_LEMMA1_TOL if tol is None else tol
         for m in (1, 2, 3):
-            reports.append(routes.verify_lemma1(m, cfg=cfg, tol=lemma1_tol))
+            reports.append(routes.verify_lemma1(m, quad_tol=quad_tol, tol=lemma1_tol))
     if subject in ("lemma2", "all"):
         reports.append(
             routes.verify_lemma2(tol=routes.DEFAULT_LEMMA2_TOL if tol is None else tol)
@@ -163,7 +157,7 @@ def _collect_reports(
     if subject in ("theorem", "all"):
         reports.append(
             routes.verify_theorem(
-                cfg=cfg, tol=routes.DEFAULT_THEOREM_TOL if tol is None else tol
+                quad_tol=quad_tol, tol=routes.DEFAULT_THEOREM_TOL if tol is None else tol
             )
         )
     return reports
@@ -180,8 +174,8 @@ def _report_dict(report: routes.VerificationReport) -> dict:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    cfg = _quad_config(args)
-    reports = _collect_reports(args.subject, cfg, args.tol)
+    _check_tol(args.quad_tol)  # even for subjects that run no quadrature
+    reports = _collect_reports(args.subject, args.quad_tol, args.tol)
     if args.fmt == "json":
         print(json.dumps([_report_dict(r) for r in reports]))
     elif args.fmt == "csv":
@@ -262,7 +256,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         dest="quad_tol",
         type=float,
         default=1e-10,
-        help="absolute and relative tolerance for the quadrature engine",
+        help=(
+            "quadrature tolerance: converged once the error estimate is at most"
+            " QUAD_TOL * max(1, |I|); finite and > 0 (default: 1e-10)"
+        ),
     )
 
 

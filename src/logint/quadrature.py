@@ -17,6 +17,10 @@ that same order, and the error estimate is the last level-to-level
 difference floored at machine precision.  Identical inputs therefore
 produce bit-identical outcomes, whether or not a table was cached.  A
 non-finite value or error estimate is never reported as converged.
+
+The one setting is ``tol``: a call converges once its error estimate is
+at most tol * max(1, |value|).  Refinement stops at level _MAX_LEVEL,
+which also bounds the evaluation count and the node-table cache.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from itertools import count
 from typing import Callable
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureOutcome",
     "integrate_finite",
     "integrate_semi_infinite",
@@ -43,27 +46,9 @@ _HALF_PI = math.pi / 2.0
 # side of the node ladder; genuine mass cannot hide below it.
 _NEGLIGIBLE = 1e-300
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and effort caps shared by all integrators."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_level: int = 12
-    max_evals: int = 200_000
-
-    def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise ValueError("at least one of abs_tol, rel_tol must be positive")
-        if not isinstance(self.max_level, int) or not (1 <= self.max_level <= 16):
-            raise ValueError(f"max_level must be an integer in [1, 16], got {self.max_level!r}")
-        if not isinstance(self.max_evals, int) or not (1 <= self.max_evals <= 10_000_000):
-            raise ValueError(f"max_evals must be an integer in [1, 1e7], got {self.max_evals!r}")
+# The finest level, h = 2^-12.  It bounds the evaluations of every call
+# and the node-table cache (about 1.8 MB for both transforms).
+_MAX_LEVEL = 12
 
 
 @dataclass(frozen=True)
@@ -74,10 +59,6 @@ class QuadratureOutcome:
     error_estimate: float
     evaluations: int
     converged: bool
-
-
-class _OutOfBudget(Exception):
-    """Internal: the integrand evaluation cap was reached mid-sweep."""
 
 
 # Node tables, one per level and transform, built on first use.  Level 0
@@ -137,31 +118,30 @@ def _exp_sinh_level(level: int) -> tuple[array, array, array, array]:
     return _EXP_SINH.setdefault(level, (far_w, grows, near_w, decays))
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
+
+
 def _refine(
     center: float,
     pair_sum: Callable[[int, int], tuple[float, int]],
-    cfg: QuadratureConfig,
+    tol: float,
 ) -> QuadratureOutcome:
     """Shared level-doubling loop: halve h, reuse the previous sum.
 
     ``pair_sum(level, used)`` walks one level's nodes and returns their
-    weighted sum and the evaluation count so far.  It raises _OutOfBudget
-    in place of evaluation ``cfg.max_evals + 1``, so the count is then
-    exactly ``cfg.max_evals``.
+    weighted sum and the evaluation count so far.  The loop stops, not
+    converged, on a non-finite value or error estimate, or after level
+    _MAX_LEVEL.
     """
-    try:
-        partial, used = pair_sum(0, 1)  # the center was evaluation 1
-    except _OutOfBudget:
-        return QuadratureOutcome(0.0, math.inf, cfg.max_evals, False)
+    partial, used = pair_sum(0, 1)  # the center was evaluation 1
     value = center + partial
     err = math.inf
     h = 1.0
-    for level in range(1, cfg.max_level + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
-        try:
-            partial, used = pair_sum(level, used)
-        except _OutOfBudget:
-            return QuadratureOutcome(value, err, cfg.max_evals, False)
+        partial, used = pair_sum(level, used)
         refined = 0.5 * value + h * partial
         err = abs(refined - value)
         floor = _EPS * abs(refined)
@@ -170,7 +150,7 @@ def _refine(
         value = refined
         if not (math.isfinite(value) and math.isfinite(err)):
             return QuadratureOutcome(value, err, used, False)
-        if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        if err <= tol * max(1.0, abs(value)):
             return QuadratureOutcome(value, err, used, True)
     return QuadratureOutcome(value, err, used, False)
 
@@ -179,7 +159,7 @@ def integrate_finite(
     f: Callable[[float], float],
     a: float,
     b: float,
-    cfg: QuadratureConfig | None = None,
+    tol: float = 1e-10,
 ) -> QuadratureOutcome:
     """Integrate f over the open interval (a, b), both endpoints finite.
 
@@ -189,14 +169,12 @@ def integrate_finite(
     Integrable endpoint singularities of log or inverse-power type are
     handled without any special casing.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
+    _check_tol(tol)
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
     halfspan = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     scale = halfspan * _HALF_PI
-    cap = cfg.max_evals
 
     def pair_sum(level: int, used: int) -> tuple[float, int]:
         total = 0.0
@@ -212,8 +190,6 @@ def integrate_finite(
                 if x <= a:
                     left_alive = False  # node rounded onto the endpoint
                 else:
-                    if used >= cap:
-                        raise _OutOfBudget
                     used += 1
                     contribution += w * f(x)
             if right_alive:
@@ -221,8 +197,6 @@ def integrate_finite(
                 if x >= b:
                     right_alive = False
                 else:
-                    if used >= cap:
-                        raise _OutOfBudget
                     used += 1
                     contribution += w * f(x)
             if not (left_alive or right_alive):
@@ -233,14 +207,13 @@ def integrate_finite(
             total = fresh
         return total, used
 
-    # max_evals >= 1, so the center always fits in the budget
-    return _refine(scale * f(mid), pair_sum, cfg)
+    return _refine(scale * f(mid), pair_sum, tol)
 
 
 def integrate_semi_infinite(
     f: Callable[[float], float],
     a: float,
-    cfg: QuadratureConfig | None = None,
+    tol: float = 1e-10,
 ) -> QuadratureOutcome:
     """Integrate f over (a, inf); f must decay fast enough to be integrable.
 
@@ -248,11 +221,9 @@ def integrate_semi_infinite(
     both the approach to a and the unbounded tail double-exponentially.
     An integrable singularity at a is fine; a is never sampled.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
+    _check_tol(tol)
     if not math.isfinite(a):
         raise ValueError(f"lower limit must be finite, got {a!r}")
-    cap = cfg.max_evals
 
     def pair_sum(level: int, used: int) -> tuple[float, int]:
         total = 0.0
@@ -268,8 +239,6 @@ def integrate_semi_infinite(
                 if not (math.isfinite(far_w) and math.isfinite(x)):
                     far_alive = False  # beyond representable range
                 else:
-                    if used >= cap:
-                        raise _OutOfBudget
                     used += 1
                     c = far_w * f(x)
                     if abs(c) <= _NEGLIGIBLE:
@@ -284,8 +253,6 @@ def integrate_semi_infinite(
                 if x <= a or near_w == 0.0:
                     near_alive = False  # node rounded onto the endpoint
                 else:
-                    if used >= cap:
-                        raise _OutOfBudget
                     used += 1
                     c = near_w * f(x)
                     if abs(c) <= _NEGLIGIBLE:
@@ -303,26 +270,19 @@ def integrate_semi_infinite(
             total = fresh
         return total, used
 
-    # max_evals >= 1, so the center always fits in the budget
-    return _refine(_HALF_PI * f(a + 1.0), pair_sum, cfg)
+    return _refine(_HALF_PI * f(a + 1.0), pair_sum, tol)
 
 
 def integrate_bilateral(
     f: Callable[[float], float],
-    cfg: QuadratureConfig | None = None,
+    tol: float = 1e-10,
 ) -> QuadratureOutcome:
     """Integrate f over the whole real line, folded at zero.
 
     Implemented as one half-line integral of f(t) + f(-t), so a removable
     singularity at 0 never gets sampled; the caller supplies the
     limit-safe integrand.  The error estimate is the folded integral's
-    own.  The budget and the evaluation count are in calls of f, two per
-    node; a budget below two calls evaluates nothing.
+    own.  The evaluation count is in calls of f, two per node.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if cfg.max_evals < 2:
-        return QuadratureOutcome(0.0, math.inf, 0, False)
-    half_cfg = replace(cfg, max_evals=cfg.max_evals // 2)
-    folded = integrate_semi_infinite(lambda t: f(t) + f(-t), 0.0, half_cfg)
+    folded = integrate_semi_infinite(lambda t: f(t) + f(-t), 0.0, tol)
     return replace(folded, evaluations=2 * folded.evaluations)

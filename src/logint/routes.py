@@ -31,12 +31,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from . import specfun
-from .quadrature import (
-    QuadratureConfig,
-    QuadratureOutcome,
-    integrate_bilateral,
-    integrate_semi_infinite,
-)
+from .quadrature import QuadratureOutcome, integrate_bilateral, integrate_semi_infinite
 
 __all__ = [
     "Subject",
@@ -153,6 +148,7 @@ def closed_form_trig(n: float) -> float:
 
     For n < 2 the angle is written pi - y, y = pi (n-1)/n with n - 1 exact,
     because pi/n itself rounds next to pi as n -> 1 and sin(pi/n) is lost.
+    Where n*n overflows (n > 1.3e154) it is -cos x (x / sin x)^2, x = pi/n.
     """
     v = _check_n(n)
     if v < 2.0:
@@ -161,6 +157,9 @@ def closed_form_trig(n: float) -> float:
         return (math.pi * math.pi) / (v * v) * math.cos(y) / (s * s)
     x = math.pi / v
     s = math.sin(x)
+    if math.isinf(v * v):
+        r = x / s
+        return -math.cos(x) * (r * r)
     return -(math.pi * math.pi) / (v * v) * math.cos(x) / (s * s)
 
 
@@ -186,7 +185,8 @@ def intermediate_form(n: float) -> float:
 
     The halfway-collapsed form; the double-angle identity (lemma3 subject)
     turns it into closed_form_trig exactly.  For n < 2 the angle is written
-    pi/2 - y, y = (pi/2)(n-1)/n, as in closed_form_trig.
+    pi/2 - y, y = (pi/2)(n-1)/n, as in closed_form_trig.  Where 4n*n
+    overflows (n > 6.7e153) it is (x / cos x)^2 - (x / sin x)^2, x = pi/2n.
     """
     v = _check_n(n)
     if v < 2.0:
@@ -195,6 +195,9 @@ def intermediate_form(n: float) -> float:
     else:
         x = _HALF_PI / v
         c, s = math.cos(x), math.sin(x)
+        if math.isinf(4.0 * v * v):
+            rc, rs = x / c, x / s
+            return rc * rc - rs * rs
     return (math.pi * math.pi) / (4.0 * v * v) * (1.0 / (c * c) - 1.0 / (s * s))
 
 
@@ -215,7 +218,7 @@ def closed_form_gamma_derivative(n: float) -> float:
     return -(p / v) * ((specfun.digamma(a) - specfun.digamma(b)) / v)
 
 
-def numeric_I(n: float, cfg: QuadratureConfig | None = None) -> QuadratureOutcome:
+def numeric_I(n: float, quad_tol: float = 1e-10) -> QuadratureOutcome:
     """Direct quadrature of the defining integral; the oracle route.
 
     x = e^(-s) on (0, 1) and x = e^s on (1, inf) fold both halves onto
@@ -230,17 +233,17 @@ def numeric_I(n: float, cfg: QuadratureConfig | None = None) -> QuadratureOutcom
     def integrand(s: float) -> float:
         return s * (math.exp(-m * s) - math.exp(-s)) / (1.0 + math.exp(-v * s))
 
-    return integrate_semi_infinite(integrand, 0.0, cfg)
+    return integrate_semi_infinite(integrand, 0.0, quad_tol)
 
 
-def evaluate_all_routes(n: float, cfg: QuadratureConfig | None = None) -> EvaluationRow:
+def evaluate_all_routes(n: float, quad_tol: float = 1e-10) -> EvaluationRow:
     """The paper's Result line, route by route, and their widest disagreement.
 
     Routes: the trig form, the trigamma combination, the differentiated
     gamma product and direct quadrature.
     """
     v = _check_n(n)
-    quad = numeric_I(v, cfg)
+    quad = numeric_I(v, quad_tol)
     values = (
         closed_form_trig(v),
         closed_form_trigamma(v),
@@ -306,7 +309,7 @@ DEFAULT_THEOREM_TOL = 1e-6
 def verify_lemma1(
     m: int,
     z_grid: Sequence[float] = DEFAULT_LEMMA1_GRID,
-    cfg: QuadratureConfig | None = None,
+    quad_tol: float = 1e-10,
     tol: float = DEFAULT_LEMMA1_TOL,
 ) -> VerificationReport:
     """Bilateral quadrature of the lemma1 integrand vs. the polygamma side.
@@ -315,13 +318,11 @@ def verify_lemma1(
     arbitrarily slowly on one branch and quadrature cost explodes.
     Quadrature non-convergence surfaces as an infinite deviation.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
     sign = 1.0 if m % 2 else -1.0
     points: list[tuple[float, ...]] = []
     deviations: list[float] = []
     for z in z_grid:
-        outcome = integrate_bilateral(lemma1_integrand(m, z), cfg)
+        outcome = integrate_bilateral(lemma1_integrand(m, z), quad_tol)
         rhs = specfun.polygamma(m, 1.0 - z) + sign * specfun.polygamma(m, z)
         deviations.append(abs(outcome.value - rhs) if outcome.converged else math.inf)
         points.append((float(m), float(z)))
@@ -381,7 +382,7 @@ def verify_lemma3(
 
 def verify_theorem(
     n_grid: Sequence[float] = DEFAULT_THEOREM_GRID,
-    cfg: QuadratureConfig | None = None,
+    quad_tol: float = 1e-10,
     tol: float = DEFAULT_THEOREM_TOL,
 ) -> VerificationReport:
     """Spread across the derivation chain's four forms of I(n), per grid point.
@@ -391,13 +392,11 @@ def verify_theorem(
     The sec/csc form stands where ``evaluate_all_routes`` has the gamma
     product, so lemma3's collapse is checked at every grid point.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
     points: list[tuple[float, ...]] = []
     deviations: list[float] = []
     for n in n_grid:
         v = _check_n(n)
-        quad = numeric_I(v, cfg)
+        quad = numeric_I(v, quad_tol)
         values = (
             quad.value,
             closed_form_trigamma(v),

@@ -108,6 +108,30 @@ def test_limit_exit_codes(capsys):
     assert run_cli(["limit", "--n-list", "abc"], capsys)[0] == cli.EXIT_USAGE
 
 
+def test_limit_past_n_squared_overflow(capsys):
+    code, out, _ = run_cli(["limit", "--n-list", "10,1e155", "--format", "csv"], capsys)
+    assert code == cli.EXIT_OK
+    assert next(csv.reader(io.StringIO(out.splitlines()[2])))[1] == "-1"
+
+
+@pytest.mark.parametrize("quad_tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--n", "3"],
+        ["table", "--min", "2", "--max", "4", "--steps", "3"],
+        ["verify", "--subject", "theorem"],
+        ["verify", "--subject", "lemma2"],  # runs no quadrature, rejects anyway
+    ],
+)
+def test_bad_quad_tol_is_usage_error(command, quad_tol, capsys):
+    code, out, err = run_cli(command + [f"--quad-tol={quad_tol}"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and "tolerance" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
