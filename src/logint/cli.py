@@ -245,6 +245,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--quiet", action="store_true", help="suppress human-readable prose"
     )
+
+
+def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol",
         type=float,
@@ -276,6 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate all routes at one n")
     p_eval.add_argument("--n", type=float, required=True, help="exponent, must exceed 1")
     _add_common_flags(p_eval)
+    _add_tolerance_flags(p_eval)
     p_eval.set_defaults(handler=_run_eval)
 
     p_table = sub.add_parser("table", help="tabulate all routes over an n grid")
@@ -284,6 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--steps", type=int, required=True)
     p_table.add_argument("--spacing", choices=("linear", "log"), default="linear")
     _add_common_flags(p_table)
+    _add_tolerance_flags(p_table)
     p_table.set_defaults(handler=_run_table)
 
     p_verify = sub.add_parser("verify", help="re-run the identity checks")
@@ -293,6 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     _add_common_flags(p_verify)
+    _add_tolerance_flags(p_verify)
     p_verify.set_defaults(handler=_run_verify)
 
     p_limit = sub.add_parser("limit", help="probe the n -> infinity limit")

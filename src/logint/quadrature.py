@@ -13,8 +13,9 @@ products with the interval (weight scale, abscissa offset) are formed per
 call.  Nodes are visited in a fixed center-outward order, abscissas are
 formed as offsets from the nearest endpoint (so no precision is lost next
 to a singularity), partial sums use compensated (Kahan) accumulation in
-that same order, and the error estimate is the last level-to-level
-difference floored at machine precision.  Identical inputs therefore
+that same order, and the error estimate extrapolates from the last three
+level-to-level differences, floored at machine precision of
+max(1, |value|).  Identical inputs therefore
 produce bit-identical outcomes, whether or not a table was cached.  A
 non-finite value or error estimate is never reported as converged.
 
@@ -134,23 +135,37 @@ def _refine(
     weighted sum and the evaluation count so far.  The loop stops, not
     converged, on a non-finite value or error estimate, or after level
     _MAX_LEVEL.
+
+    The error estimate extrapolates from the last three level-to-level
+    differences d_-1, d_0, d_1 (after Borwein, Bailey and Girgensohn):
+    once they shrink, it is d_1 * min(1, 10 * max(d_1/d_0, (d_0/d_-1)^2)),
+    otherwise d_1 itself.  A DE rule at best squares its convergence ratio
+    per level, so a drop faster than (d_0/d_-1)^2 is a lucky cancellation
+    and is not trusted.  No estimate is claimed below roundoff on the stop
+    rule's own scale, eps * max(1, |value|): an integrand that cancels
+    carries noise of order eps times its terms, not eps times its sum.
     """
     partial, used = pair_sum(0, 1)  # the center was evaluation 1
     value = center + partial
     err = math.inf
+    before = last = math.nan  # d_-1 and d_0; nan until two differences exist
     h = 1.0
     for level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
         partial, used = pair_sum(level, used)
         refined = 0.5 * value + h * partial
-        err = abs(refined - value)
-        floor = _EPS * abs(refined)
-        if err < floor:
-            err = floor  # cannot honestly claim accuracy below roundoff
+        diff = abs(refined - value)
+        err = diff
+        if 0.0 < last < before < math.inf:
+            err = diff * min(1.0, 10.0 * max(diff / last, (last / before) ** 2))
+        before, last = last, diff
         value = refined
+        scale = max(1.0, abs(value))
+        if err < _EPS * scale:
+            err = _EPS * scale
         if not (math.isfinite(value) and math.isfinite(err)):
             return QuadratureOutcome(value, err, used, False)
-        if err <= tol * max(1.0, abs(value)):
+        if err <= tol * scale:
             return QuadratureOutcome(value, err, used, True)
     return QuadratureOutcome(value, err, used, False)
 

@@ -170,10 +170,17 @@ def closed_form_trigamma(n: float) -> float:
               - psi'(1 - 1/2n) - psi'(1/2n)]
     All four arguments are positive for n > 1.  Does not use quadrature.
     For n < 2 the first argument is formed as (1/2)(n-1)/n, with n - 1
-    exact, because 1/2 - 1/2n cancels as n -> 1.
+    exact, because 1/2 - 1/2n cancels as n -> 1.  Where 4n*n overflows
+    (n > 6.7e153), so does psi'(x) ~ 1/x^2 at x = 1/2n.  There the last
+    term is psi'(1+x) + 1/x^2; divided by 4n^2, psi'(1+x) and the other
+    three O(1) terms vanish, and (1/x^2)/4n^2 is formed as ((1/x)/2n)^2,
+    written 0.5/(x n) so that neither 1/x nor 2n overflows.
     """
     v = _check_n(n)
     half = 0.5 / v
+    if math.isinf(4.0 * v * v):
+        r = 0.5 / (half * v)
+        return -(r * r)
     low = 0.5 * ((v - 1.0) / v) if v < 2.0 else 0.5 - half
     tg = specfun.trigamma
     combo = tg(low) + tg(0.5 + half) - tg(1.0 - half) - tg(half)

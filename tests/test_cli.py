@@ -108,10 +108,28 @@ def test_limit_exit_codes(capsys):
     assert run_cli(["limit", "--n-list", "abc"], capsys)[0] == cli.EXIT_USAGE
 
 
+def test_eval_past_n_squared_overflow(capsys):
+    code, out, err = run_cli(["eval", "--n", "1e155", "--format", "csv"], capsys)
+    assert code == cli.EXIT_OK, err
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert float(row["trigamma_form"]) == pytest.approx(-1.0, abs=2e-15)
+
+
 def test_limit_past_n_squared_overflow(capsys):
     code, out, _ = run_cli(["limit", "--n-list", "10,1e155", "--format", "csv"], capsys)
     assert code == cli.EXIT_OK
     assert next(csv.reader(io.StringIO(out.splitlines()[2])))[1] == "-1"
+
+
+@pytest.mark.parametrize("flag", [["--quad-tol", "-1"], ["--tol", "nan"]])
+def test_limit_takes_no_tolerance_flags(flag, capsys):
+    # limit runs no quadrature and no pass/fail threshold
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["limit", "--n-list", "10,100"] + flag)
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("quad_tol", ["-1", "0", "nan", "inf"])
@@ -252,9 +270,11 @@ def test_limit_csv(capsys):
     _, out, _ = run_cli(
         ["limit", "--n-list", "10,100", "--format", "csv"], capsys
     )
-    lines = out.splitlines()
-    assert lines[0] == "n,value,residual,residual_n2"
-    assert len(lines) == 3
+    assert out == (
+        "n,value,residual,residual_n2\n"
+        "10,-0.98297244282975726,0.017027557170242735,1.7027557170242735\n"
+        "100,-0.99983544976148864,0.00016455023851136286,1.6455023851136286\n"
+    )
 
 
 def test_verify_csv(capsys):

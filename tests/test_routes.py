@@ -1,6 +1,7 @@
 """Route implementations and identity verifiers for I(n)."""
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -133,7 +134,9 @@ def test_intermediate_and_trigamma_forms_from_two_up_are_unchanged():
         assert rt.closed_form_trigamma(n) == float.fromhex(trigamma), n
 
 
-@pytest.mark.parametrize("form", [rt.closed_form_trig, rt.intermediate_form])
+@pytest.mark.parametrize(
+    "form", [rt.closed_form_trig, rt.intermediate_form, rt.closed_form_trigamma]
+)
 @pytest.mark.parametrize("n", [1e154, 1.3e154, 1.35e154, 1e155, 1e200, 1e300, 1.7e308])
 def test_trig_forms_past_n_squared_overflow_match_high_precision(form, n):
     mpmath = pytest.importorskip("mpmath")
@@ -266,6 +269,8 @@ def test_numeric_independent_of_special_functions(monkeypatch):
 @example(660.0)
 @example(4000.0)
 @example(7800.0)
+@example(1.079725549616809)  # an estimate trusting d1/d0 alone is 723x short here
+@example(1.992158118610299)  # |I| << 1, so the roundoff floor is set by max(1, |I|)
 def test_numeric_follows_the_closed_form_over_the_whole_domain(n):
     # |I| grows like 1/(n-1)^2 as n -> 1; the route must follow it there
     # without raising, and stay honest about what it claims
@@ -275,6 +280,27 @@ def test_numeric_follows_the_closed_form_over_the_whole_domain(n):
         assert math.isfinite(outcome.error_estimate)
     reference = rt.closed_form_trig(n)
     assert abs(outcome.value - reference) <= 1e-10 * max(1.0, abs(reference))
+
+
+# Next to n = 2, |I| << 1 and the integrand's cancellation leaves noise of
+# order 1e-17: a roundoff floor of eps * |I| let these claim 1e-18 at
+# tol 1e-14.
+NEAR_TWO = [1.992158118610299, 2.0016026626202255, 1.9929471004091046]
+
+
+@pytest.mark.parametrize("quad_tol", [1e-5, 1e-8, 1e-10, 1e-12, 1e-14])
+def test_numeric_error_estimate_is_honest_at_every_tolerance(quad_tol):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = random.Random(20260)
+    exponents = [1.0 + 10.0 ** rng.uniform(-3.0, 4.0) for _ in range(200)]
+    for n in exponents + NEAR_TWO:
+        outcome = rt.numeric_I(n, quad_tol)
+        if not outcome.converged:
+            continue
+        x = mpmath.pi / mpmath.mpf(n)
+        ref = -(x**2) * mpmath.cot(x) / mpmath.sin(x)
+        assert abs(outcome.value - ref) <= 10.0 * outcome.error_estimate, n
 
 
 def test_evaluate_all_routes():
