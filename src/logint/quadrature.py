@@ -19,9 +19,18 @@ max(1, |value|).  Identical inputs therefore
 produce bit-identical outcomes, whether or not a table was cached.  A
 non-finite value or error estimate is never reported as converged.
 
+Each side of a level's node ladder ends on its own: a tanh-sinh side once
+its abscissa rounds onto the endpoint, an exp-sinh side once two
+consecutive contributions fall to eps times the pass's running sum of
+|contribution|, a bound that halves per level from level _MIN_LEVEL on (or
+once the far abscissa overflows, or the near one rounds onto a).  Mass
+that lies behind such a gap, past two nodes that are negligible on that
+scale, is missed.
+
 The one setting is ``tol``: a call converges once its error estimate is
-at most tol * max(1, |value|).  Refinement stops at level _MAX_LEVEL,
-which also bounds the evaluation count and the node-table cache.
+at most tol * max(1, |value|), from level _MIN_LEVEL on.  Refinement stops
+at level _MAX_LEVEL, which also bounds the evaluation count and the
+node-table cache.
 """
 
 from __future__ import annotations
@@ -43,9 +52,9 @@ __all__ = [
 _EPS = sys.float_info.epsilon
 _HALF_PI = math.pi / 2.0
 
-# Two consecutive contributions at or below this magnitude exhaust one
-# side of the node ladder; genuine mass cannot hide below it.
-_NEGLIGIBLE = 1e-300
+# The first level that may claim convergence, the first with three level
+# differences behind its error estimate.
+_MIN_LEVEL = 3
 
 # The finest level, h = 2^-12.  It bounds the evaluations of every call
 # and the node-table cache (about 1.8 MB for both transforms).
@@ -134,7 +143,9 @@ def _refine(
     ``pair_sum(level, used)`` walks one level's nodes and returns their
     weighted sum and the evaluation count so far.  The loop stops, not
     converged, on a non-finite value or error estimate, or after level
-    _MAX_LEVEL.
+    _MAX_LEVEL.  It claims convergence only from level _MIN_LEVEL on, once
+    three level differences exist: one difference alone can be far too
+    small at a coarse level.
 
     The error estimate extrapolates from the last three level-to-level
     differences d_-1, d_0, d_1 (after Borwein, Bailey and Girgensohn):
@@ -165,7 +176,7 @@ def _refine(
             err = _EPS * scale
         if not (math.isfinite(value) and math.isfinite(err)):
             return QuadratureOutcome(value, err, used, False)
-        if err <= tol * scale:
+        if err <= tol * scale and level >= _MIN_LEVEL:
             return QuadratureOutcome(value, err, used, True)
     return QuadratureOutcome(value, err, used, False)
 
@@ -235,6 +246,15 @@ def integrate_semi_infinite(
     The exp-sinh change of variables x = a + exp((pi/2) sinh t) compresses
     both the approach to a and the unbounded tail double-exponentially.
     An integrable singularity at a is fine; a is never sampled.
+
+    Within a level each side walks outward until two consecutive
+    contributions are at most eps times the running sum of |contribution|
+    over the level's pass, both sides counted: below that they cannot
+    change the rounded sum.  From level _MIN_LEVEL on that bound halves
+    per level, so the tail a cut drops does not grow as the nodes get
+    denser.  A single such contribution, an exact zero of f say, does not
+    end a side.  The limit: mass behind a gap of two nodes that are
+    negligible on that scale is missed.
     """
     _check_tol(tol)
     if not math.isfinite(a):
@@ -245,6 +265,10 @@ def integrate_semi_infinite(
         comp = 0.0  # Kahan compensation; addition order is part of the contract
         near_alive = True  # t < 0, x slides down to a
         far_alive = True  # t > 0, x runs to infinity
+        l1 = 0.0  # sum of |contribution| over the pass, both sides
+        # The tail past a cut holds twice as many terms per level; halving
+        # the bound from _MIN_LEVEL on keeps the mass it drops from growing.
+        cut = _EPS * 0.5 ** max(0, level - _MIN_LEVEL)
         near_tiny = 0
         far_tiny = 0
         for far_w, grow, near_w, decay in zip(*_exp_sinh_level(level)):
@@ -256,7 +280,8 @@ def integrate_semi_infinite(
                 else:
                     used += 1
                     c = far_w * f(x)
-                    if abs(c) <= _NEGLIGIBLE:
+                    l1 += abs(c)
+                    if abs(c) <= cut * l1:
                         far_tiny += 1
                         if far_tiny >= 2:
                             far_alive = False
@@ -270,7 +295,8 @@ def integrate_semi_infinite(
                 else:
                     used += 1
                     c = near_w * f(x)
-                    if abs(c) <= _NEGLIGIBLE:
+                    l1 += abs(c)
+                    if abs(c) <= cut * l1:
                         near_tiny += 1
                         if near_tiny >= 2:
                             near_alive = False

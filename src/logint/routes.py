@@ -232,13 +232,20 @@ def numeric_I(n: float, quad_tol: float = 1e-10) -> QuadratureOutcome:
     int_0^inf s [e^(-(n-1)s) - e^(-s)] / (1 + e^(-ns)) ds, one smooth
     exp-sinh integral.  No exponent is positive, so nothing overflows, and
     the slow decay as n -> 1, where |I| grows like 1/(n-1)^2, is followed
-    rather than cut off.  No special-function code is involved.
+    rather than cut off.  With E = e^(-min(n-1, 1)s) and
+    D = expm1(-|n-2|s), the bracket is E*D (or -E*D for n < 2) and
+    e^(-ns) = E^2 (1 + D), so the difference never cancels, even as n -> 2
+    where I -> 0.  No special-function code is involved.
     """
     v = _check_n(n)
-    m = v - 1.0
+    slow = min(v - 1.0, 1.0)
+    gap = abs(v - 2.0)
+    sign = 1.0 if v >= 2.0 else -1.0
 
     def integrand(s: float) -> float:
-        return s * (math.exp(-m * s) - math.exp(-s)) / (1.0 + math.exp(-v * s))
+        e = math.exp(-slow * s)
+        d = math.expm1(-gap * s)
+        return sign * s * e * d / (1.0 + e * e * (1.0 + d))
 
     return integrate_semi_infinite(integrand, 0.0, quad_tol)
 

@@ -134,6 +134,26 @@ def test_endpoints_are_never_sampled():
     assert min(seen) > 0.0 and max(seen) < 1.0
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+def test_one_zero_contribution_does_not_end_a_side(tol):
+    # x0 is the first far-side abscissa of level 1 (t = 1/2): that node
+    # contributes exactly 0 while the far nodes after it still carry most
+    # of the mass, so a side must end only after two negligible
+    # contributions in a row
+    x0 = math.exp(math.pi / 2.0 * math.sinh(0.5))
+    zeros = []
+
+    def f(x):
+        if x == x0:
+            zeros.append(x)
+        return (x - x0) * math.exp(-x / 4.0)
+
+    outcome = integrate_semi_infinite(f, 0.0, tol)
+    assert zeros
+    assert outcome.converged
+    assert abs(outcome.value - (16.0 - 4.0 * x0)) <= 10.0 * outcome.error_estimate
+
+
 def test_invalid_intervals_rejected():
     with pytest.raises(ValueError):
         integrate_finite(math.sin, 1.0, 1.0)
@@ -202,7 +222,9 @@ BUDGETED_RUNS = {
 # The level cap is the engine's only budget.  Each run asks for more
 # accuracy than roundoff allows, with |I| below 1 (absolute tolerance) and
 # above it (relative tolerance), so it spends every level and must still
-# hand back its best estimate and an honest count.
+# hand back its best estimate and an honest count.  At level 12 an exp-sinh
+# tail cut at eps of the pass's L1 sum, not halved per level, drops about
+# 1e-14 of the area.
 @pytest.mark.parametrize("scale", [1, 2, 3, 40])
 @pytest.mark.parametrize("kind", sorted(BUDGETED_RUNS))
 def test_budget_exhaustion_returns_best_effort(kind, scale):
@@ -218,7 +240,7 @@ def test_budget_exhaustion_returns_best_effort(kind, scale):
     assert outcome.evaluations == calls
     assert outcome.converged is False
     assert outcome.error_estimate > 1e-16 * max(1.0, abs(outcome.value))
-    assert abs(outcome.value - scale * area) <= 1e-13 * scale
+    assert abs(outcome.value - scale * area) <= 1e-15 * scale
 
 
 def test_converged_flag_matches_outcome_invariant():
@@ -295,19 +317,22 @@ GOLDEN_RUNS = {
 
 # (value, error_estimate, evaluations, converged), recorded with the
 # extrapolated error estimate (last three level differences, floored at
-# eps * max(1, |value|)); any change to the node tables, the summation
-# order or the estimate must be re-recorded here on purpose.
+# eps * max(1, |value|)), no convergence claimed before level 3, the
+# exp-sinh sides cut at eps of the pass's L1 sum (halved per level from
+# level 3) and route 4's expm1 integrand; any change to the node tables,
+# the summation order, the stop rules or the estimate must be re-recorded
+# here on purpose.
 GOLDEN = {
     "finite log (0,1)": ("-0x1.0000000000000p+0", "0x1.0000000000000p-52", 75, True),
     "finite wiggle (0.1,2.3)": ("0x1.f3aa3d26248f4p+2", "0x1.dff9f73178472p-35", 51, True),
     "finite x^2 (-1,2)": ("0x1.8000000000000p+1", "0x1.92466e5c52393p-45", 51, True),
-    "semi exp(-x) (0,inf)": ("0x1.0000000000000p+0", "0x1.f6fe90a4fe1bcp-43", 154, True),
-    "semi x^-2 (2.5,inf)": ("0x1.9999999999999p-2", "0x1.0000000000000p-52", 84, True),
-    "bilateral lemma1(2,0.35)": ("0x1.3e6685d69753cp+5", "0x1.3334b076e2e7cp-45", 442, True),
-    "numeric_I 1.5": ("0x1.76505acbb952ep+1", "0x1.76505acbb952ep-51", 218, True),
-    "numeric_I 3": ("-0x1.76505acbb952fp-1", "0x1.89267799cedaep-36", 117, True),
-    "numeric_I 100": ("-0x1.ffea6e9c36ceap-1", "0x1.79245dce2230ap-36", 118, True),
-    "numeric_I 600": ("-0x1.ffff66adf7bbcp-1", "0x1.84a043dbf8d55p-36", 119, True),
+    "semi exp(-x) (0,inf)": ("0x1.0000000000000p+0", "0x1.f6fe90a4fe1bcp-43", 108, True),
+    "semi x^-2 (2.5,inf)": ("0x1.9999999999999p-2", "0x1.0000000000000p-52", 70, True),
+    "bilateral lemma1(2,0.35)": ("0x1.3e6685d69753cp+5", "0x1.3334b076e2e7cp-45", 334, True),
+    "numeric_I 1.5": ("0x1.76505acbb952ep+1", "0x1.76505acbb952ep-51", 167, True),
+    "numeric_I 3": ("-0x1.76505acbb952fp-1", "0x1.892676eb47bf9p-36", 90, True),
+    "numeric_I 100": ("-0x1.ffea6e9c36ceap-1", "0x1.79245dce2230ap-36", 91, True),
+    "numeric_I 600": ("-0x1.ffff66adf7bbcp-1", "0x1.84a043dbf8d55p-36", 92, True),
 }
 
 
