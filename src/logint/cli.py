@@ -11,8 +11,6 @@ route).  CSV and JSON payloads are stable machine formats;
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from typing import Sequence
@@ -49,7 +47,13 @@ def _fmt10(value: float) -> str:
     return format(float(value), ".10g")
 
 
+def _print_json(payload: dict | list) -> None:
+    import json  # only JSON output pays for this import
+    print(json.dumps(payload))
+
+
 def _write_csv(fields: Sequence[str], rows: Sequence[dict]) -> None:
+    import csv  # only CSV output pays for this import
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:
@@ -94,7 +98,7 @@ def _run_eval(args: argparse.Namespace) -> int:
     row = routes.evaluate_all_routes(args.n, args.quad_tol)
     threshold = _DEFAULT_SPREAD_THRESHOLD if args.tol is None else args.tol
     if args.fmt == "json":
-        print(json.dumps(_row_dict(row)))
+        _print_json(_row_dict(row))
     elif args.fmt == "csv":
         _write_csv(EVAL_FIELDS, [_row_dict(row)])
     elif not args.quiet:
@@ -120,9 +124,10 @@ def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
 def _run_table(args: argparse.Namespace) -> int:
     grid = _grid(args.min, args.max, args.steps, args.spacing)
     rows = [routes.evaluate_all_routes(n, args.quad_tol) for n in grid]
+    threshold = _DEFAULT_SPREAD_THRESHOLD if args.tol is None else args.tol
     dicts = [_row_dict(row) for row in rows]
     if args.fmt == "json":
-        print(json.dumps(dicts))
+        _print_json(dicts)
     elif args.fmt == "csv":
         _write_csv(EVAL_FIELDS, dicts)
     elif not args.quiet:
@@ -133,7 +138,7 @@ def _run_table(args: argparse.Namespace) -> int:
                 f"{_fmt10(row.n):>14s} {_fmt10(row.trig_form):>20s}"
                 f" {row.max_pairwise_spread:>12.3e}"
             )
-    if any(not row.quadrature.converged for row in rows):
+    if any(not r.quadrature.converged or r.max_pairwise_spread > threshold for r in rows):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -174,10 +179,9 @@ def _report_dict(report: routes.VerificationReport) -> dict:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    _check_tol(args.quad_tol)  # even for subjects that run no quadrature
     reports = _collect_reports(args.subject, args.quad_tol, args.tol)
     if args.fmt == "json":
-        print(json.dumps([_report_dict(r) for r in reports]))
+        _print_json([_report_dict(r) for r in reports])
     elif args.fmt == "csv":
         rows = []
         for r in reports:
@@ -219,7 +223,7 @@ def _run_limit(args: argparse.Namespace) -> int:
         for n, value, residual in probe
     ]
     if args.fmt == "json":
-        print(json.dumps(rows))
+        _print_json(rows)
     elif args.fmt == "csv":
         _write_csv(LIMIT_FIELDS, rows)
     elif not args.quiet:
@@ -252,7 +256,7 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=None,
-        help="pass/fail threshold; never changes quadrature internals",
+        help="pass/fail threshold (finite, > 0); never changes quadrature internals",
     )
     parser.add_argument(
         "--quad-tol",
@@ -317,6 +321,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "quad_tol" in args:  # eval, table and verify; limit takes neither flag
+            _check_tol(args.quad_tol)  # even where no quadrature runs
+            if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+                raise ValueError(f"--tol: tolerance must be finite and > 0, got {args.tol!r}")
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

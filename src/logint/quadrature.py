@@ -38,9 +38,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass, replace
 from itertools import count
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "QuadratureOutcome",
@@ -61,8 +60,7 @@ _MIN_LEVEL = 3
 _MAX_LEVEL = 12
 
 
-@dataclass(frozen=True)
-class QuadratureOutcome:
+class QuadratureOutcome(NamedTuple):
     """Result of one integration: value, error claim, and effort spent."""
 
     value: float
@@ -326,4 +324,4 @@ def integrate_bilateral(
     own.  The evaluation count is in calls of f, two per node.
     """
     folded = integrate_semi_infinite(lambda t: f(t) + f(-t), 0.0, tol)
-    return replace(folded, evaluations=2 * folded.evaluations)
+    return folded._replace(evaluations=2 * folded.evaluations)

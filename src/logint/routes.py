@@ -26,9 +26,8 @@ n is a plain float throughout, checked on entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import specfun
 from .quadrature import QuadratureOutcome, integrate_bilateral, integrate_semi_infinite
@@ -88,10 +87,7 @@ class Subject(Enum):
     THEOREM1 = "theorem"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of checking one identity over a grid of probe points."""
-
+class _VerificationFields(NamedTuple):
     subject: Subject
     grid: tuple[tuple[float, ...], ...]
     max_abs_deviation: float
@@ -99,13 +95,21 @@ class VerificationReport:
     passed: bool
     worst_point: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+
+class VerificationReport(_VerificationFields):
+    """Outcome of checking one identity over a grid of probe points."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> VerificationReport:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.grid:
             raise ValueError("verification grid must not be empty")
         if not (self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         if self.passed != (self.max_abs_deviation <= self.tolerance):
             raise ValueError("pass flag inconsistent with deviation and tolerance")
+        return self
 
 
 def _make_report(
@@ -131,8 +135,7 @@ def _make_report(
     )
 
 
-@dataclass(frozen=True)
-class EvaluationRow:
+class EvaluationRow(NamedTuple):
     """All four routes to I(n) side by side, with their worst disagreement."""
 
     n: float

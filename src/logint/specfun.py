@@ -13,7 +13,7 @@ shared mutable state, so concurrent callers need no coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "DomainError",
@@ -184,8 +184,12 @@ def trigamma(x: float) -> float:
     return polygamma(1, x)
 
 
-@dataclass(frozen=True)
-class CotPolynomial:
+class _CotPolynomialFields(NamedTuple):
+    order: int
+    coeffs: tuple[int, ...]
+
+
+class CotPolynomial(_CotPolynomialFields):
     """d^order/dx^order cot x written as an integer polynomial in c = cot x.
 
     ``coeffs[k]`` is the coefficient of c**k.  The polynomial for order m
@@ -193,10 +197,10 @@ class CotPolynomial:
     matches m + 1; both facts are enforced at construction time.
     """
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> CotPolynomial:
+        self = super().__new__(cls, *args, **kwargs)
         degree = len(self.coeffs) - 1
         if degree != self.order + 1 or self.coeffs[-1] == 0:
             raise ValueError(
@@ -207,6 +211,7 @@ class CotPolynomial:
                 raise ValueError(
                     f"parity violation at c^{k} in the order-{self.order} polynomial"
                 )
+        return self
 
     def __call__(self, c: float) -> float:
         acc = 0.0

@@ -77,6 +77,18 @@ def test_eval_near_one_prints_a_finite_quadrature_value(capsys):
     assert abs(float(row["gamma_derivative_form"]) - trig) <= 1e-13 * abs(trig)
 
 
+def test_table_spread_threshold_failure(capsys):
+    # the same ~0.4 rounding spread as eval --n 1.0000001, on every row
+    args = ["table", "--min", "1.0000001", "--max", "1.0000002", "--steps", "2",
+            "--format", "csv"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert run_cli(args + ["--tol", "1e-300"], capsys)[:2] == (cli.EXIT_NO_CONVERGENCE, out)
+    assert run_cli(args + ["--tol", "10"], capsys)[:2] == (cli.EXIT_OK, out)
+    spreads = [float(row["spread"]) for row in csv.DictReader(io.StringIO(out))]
+    assert len(spreads) == 2 and min(spreads) > 1e-6
+
+
 def test_table_bad_ranges(capsys):
     assert run_cli(["table", "--min", "1", "--max", "4", "--steps", "3"], capsys)[0] == cli.EXIT_USAGE
     assert run_cli(["table", "--min", "3", "--max", "2", "--steps", "3"], capsys)[0] == cli.EXIT_USAGE
@@ -132,7 +144,8 @@ def test_limit_takes_no_tolerance_flags(flag, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("quad_tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--quad-tol", "--tol"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize(
     "command",
     [
@@ -142,8 +155,8 @@ def test_limit_takes_no_tolerance_flags(flag, capsys):
         ["verify", "--subject", "lemma2"],  # runs no quadrature, rejects anyway
     ],
 )
-def test_bad_quad_tol_is_usage_error(command, quad_tol, capsys):
-    code, out, err = run_cli(command + [f"--quad-tol={quad_tol}"], capsys)
+def test_bad_tolerance_is_usage_error(command, value, flag, capsys):
+    code, out, err = run_cli(command + [f"{flag}={value}"], capsys)
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: ") and "tolerance" in err
     assert "Traceback" not in err
@@ -336,13 +349,14 @@ def test_module_entry_point_runs():
     assert payload["trig_form"] == pytest.approx(-2.0 * math.pi**2 / 27.0, rel=1e-12)
 
 
-def test_import_leaves_fractions_unloaded():
-    # the special-function constants are int / int divisions, so a cold
-    # start pays for no rational-arithmetic module
+@pytest.mark.parametrize("module", ["fractions", "dataclasses", "inspect", "json"])
+def test_import_leaves_module_unloaded(module):
+    # a cold start pays for no rational arithmetic, no dataclass machinery
+    # (which pulls in inspect) and no JSON encoder unless --format json asks
     src = os.path.dirname(os.path.dirname(logint.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, logint.cli; print('fractions' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, logint.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

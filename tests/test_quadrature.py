@@ -284,7 +284,7 @@ def test_interval_additivity(cut):
 def test_determinism_bit_identical():
     first = integrate_finite(math.log, 0.0, 1.0)
     second = integrate_finite(math.log, 0.0, 1.0)
-    assert first == second  # dataclass equality covers all four fields
+    assert first == second  # tuple equality covers all four fields
     b1 = integrate_bilateral(guarded_half_exponential)
     b2 = integrate_bilateral(guarded_half_exponential)
     assert b1 == b2

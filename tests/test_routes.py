@@ -496,6 +496,37 @@ def test_report_invariants_enforced():
         )
 
 
+RECORDS = {
+    "QuadratureOutcome": lambda: quadrature.QuadratureOutcome(-0.73, 2e-11, 117, True),
+    "EvaluationRow": lambda: rt.EvaluationRow(
+        3.0, -0.73, -0.73, -0.73, quadrature.QuadratureOutcome(-0.73, 2e-11, 117, True), 1e-16
+    ),
+    "VerificationReport": lambda: rt.VerificationReport(
+        rt.Subject.LEMMA3, ((0.1,), (0.2,)), 1e-15, 1e-12, True, (0.2,)
+    ),
+    "CotPolynomial": lambda: specfun.CotPolynomial(1, (-1, 0, -1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_is_an_immutable_value(name):
+    record, twin = RECORDS[name](), RECORDS[name]()
+    assert type(record).__name__ == name
+    for attribute in record._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, None)
+    assert record == twin and hash(record) == hash(twin)
+    assert repr(record).startswith(f"{name}(")
+
+
+def test_bilateral_outcome_counts_both_halves():
+    f = rt.lemma1_integrand(1, 0.3)
+    outcome = integrate_bilateral(f)
+    folded = quadrature.integrate_semi_infinite(lambda t: f(t) + f(-t), 0.0)
+    assert type(outcome) is quadrature.QuadratureOutcome
+    assert outcome == folded._replace(evaluations=2 * folded.evaluations)
+
+
 # ------------------------------------------------------------- limit probe
 
 def test_limit_probe_rows_and_residuals():
