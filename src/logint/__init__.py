@@ -15,7 +15,6 @@ from .specfun import (
     lgamma,
     gamma_reflection_defect,
     digamma,
-    hurwitz_zeta,
     polygamma,
     trigamma,
     cot_derivative_poly,
@@ -55,7 +54,6 @@ __all__ = [
     "lgamma",
     "gamma_reflection_defect",
     "digamma",
-    "hurwitz_zeta",
     "polygamma",
     "trigamma",
     "cot_derivative_poly",

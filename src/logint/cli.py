@@ -47,9 +47,19 @@ def _fmt10(value: float) -> str:
     return format(float(value), ".10g")
 
 
+def _finite_or_null(value: object) -> object:
+    if isinstance(value, float) and not math.isfinite(value):
+        return None  # RFC 8259 has no Infinity or NaN
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _print_json(payload: dict | list) -> None:
     import json  # only JSON output pays for this import
-    print(json.dumps(payload))
+    print(json.dumps(_finite_or_null(payload)))
 
 
 def _write_csv(fields: Sequence[str], rows: Sequence[dict]) -> None:
@@ -118,7 +128,10 @@ def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
     if spacing == "log":
         ratio = n_max / n_min
         return [n_min * ratio ** (i / (steps - 1)) for i in range(steps)]
-    return [n_min + (n_max - n_min) * i / (steps - 1) for i in range(steps)]
+    span, last = n_max - n_min, steps - 1
+    # where span * i overflows, scale first; elsewhere keep the pinned grid
+    return [n_min + (span * i / last if math.isfinite(span * i) else span * (i / last))
+            for i in range(steps)]
 
 
 def _run_table(args: argparse.Namespace) -> int:

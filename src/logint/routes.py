@@ -219,7 +219,7 @@ def closed_form_gamma_derivative(n: float) -> float:
     lgamma.  For n < 2, a is formed as (n-1)/n, with n - 1 exact, as in
     closed_form_trig.  Dividing by n twice, not by n^2, keeps every
     intermediate finite up to the largest double.  Uses lgamma and digamma
-    only: no quadrature and no Hurwitz zeta, unlike the trigamma route.
+    only: no quadrature and no polygamma, unlike the trigamma route.
     """
     v = _check_n(n)
     b = 1.0 / v

@@ -1,10 +1,10 @@
 """Real-argument special functions built directly on double precision.
 
-Log-gamma and digamma shift their argument upward by recurrence until the
-asymptotic (de Moivre / Stirling) series applies, the Hurwitz zeta function
-is summed by Euler-Maclaurin, and polygamma values come from the zeta
-connection psi^(m)(x) = (-1)^(m+1) m! zeta(m+1, x).  Derivatives of cot are
-kept exact as integer-coefficient polynomials in c = cot x.
+Log-gamma, digamma and polygamma share one scheme: shift the argument
+upward by recurrence until the asymptotic (de Moivre / Stirling) series in
+Bernoulli numbers applies, then sum that series by Horner's rule.
+Derivatives of cot are kept exact as integer-coefficient polynomials in
+c = cot x.
 
 Every function here is a pure function of its arguments; there is no
 shared mutable state, so concurrent callers need no coordination.
@@ -23,7 +23,6 @@ __all__ = [
     "lgamma",
     "gamma_reflection_defect",
     "digamma",
-    "hurwitz_zeta",
     "polygamma",
     "trigamma",
     "cot_derivative_poly",
@@ -75,11 +74,14 @@ _DIGAMMA_SERIES = tuple(
     num / (den * 2 * k) for k, (num, den) in enumerate(_BERNOULLI[:7], start=1)
 )
 
-# Euler-Maclaurin corrections for the zeta tail: B_2j / (2j)!.
-_ZETA_HEAD_TERMS = 16
-_ZETA_SERIES = tuple(
-    num / (den * math.factorial(2 * j))
-    for j, (num, den) in enumerate(_BERNOULLI[:6], start=1)
+# psi^(m)(x) ~ (-1)^(m+1) [(m-1)!/x^m + m!/(2x^(m+1)) + sum_k e_mk x^(-2k-m)]
+# with e_mk = B_2k (2k+m-1)! / (2k)! (A&S 6.4.11); row m-1 serves order m.
+_POLYGAMMA_SERIES = tuple(
+    tuple(
+        num * math.factorial(2 * k + m - 1) / (den * math.factorial(2 * k))
+        for k, (num, den) in enumerate(_BERNOULLI, start=1)
+    )
+    for m in range(1, MAX_DERIVATIVE_ORDER + 1)
 )
 
 # Below this |sin x| a double-precision cot carries no information.
@@ -147,36 +149,28 @@ def digamma(x: float) -> float:
     return value
 
 
-def hurwitz_zeta(s: float, a: float) -> float:
-    """zeta(s, a) = sum_{k>=0} (k + a)^(-s) for s > 1, a > 0.
-
-    Direct sum of the first 16 terms, then an integral tail with
-    Euler-Maclaurin corrections through B_12; good to ~1e-15 relative
-    over the whole admissible domain.
-    """
-    if math.isnan(s) or math.isinf(s) or s <= 1.0:
-        raise DomainError(f"hurwitz_zeta requires finite s > 1, got {s!r}")
-    _require_positive(a, "hurwitz_zeta")
-    head = math.fsum((k + a) ** -s for k in range(_ZETA_HEAD_TERMS))
-    n = _ZETA_HEAD_TERMS + a
-    pw = n**-s
-    total = head + n * pw / (s - 1.0) + 0.5 * pw
-    factor = pw / n
-    rising = s  # s (s+1) ... (s + 2j - 2), extended as j advances
-    corrections = 0.0
-    for j, c in enumerate(_ZETA_SERIES, start=1):
-        corrections += c * rising * factor
-        factor /= n * n
-        rising *= (s + (2 * j - 1)) * (s + 2 * j)
-    return total + corrections
-
-
 def polygamma(m: int, x: float) -> float:
-    """psi^(m)(x) = (-1)^(m+1) m! zeta(m+1, x) for 1 <= m <= 12, x > 0."""
+    """psi^(m)(x) for 1 <= m <= 12 and finite x > 0.
+
+    x is raised by psi^(m)(x) = psi^(m)(x+1) + (-1)^(m+1) m! x^(-m-1) to at
+    least 8 + 2m, as the series terms grow like (2k+m-1)!.  One fsum adds
+    the shift terms, the leading (m-1)!/y^m and the rest of the series.
+    """
     _check_order(m, low=1)
     _require_positive(x, "polygamma")
-    sign = 1.0 if m % 2 else -1.0
-    return sign * math.factorial(m) * hurwitz_zeta(m + 1.0, x)
+    fact = math.factorial(m)
+    terms, y = [], x
+    while y < 8.0 + 2 * m:
+        terms.append(fact * y ** -(m + 1))
+        y += 1.0
+    r = 1.0 / (y * y)
+    series = 0.0
+    for e in reversed(_POLYGAMMA_SERIES[m - 1]):
+        series = series * r + e
+    p = y**-m  # not 1/y**m: y**m raises OverflowError past 1.8e308
+    terms += (fact // m) * p, p * (0.5 * fact / y + series * r)
+    value = math.fsum(terms)
+    return value if m % 2 else -value
 
 
 def trigamma(x: float) -> float:

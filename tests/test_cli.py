@@ -1,5 +1,6 @@
 """CLI contract: exit codes, CSV/JSON schemas, round-trips, --quiet."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import logint
 from logint import cli, routes
@@ -20,6 +22,10 @@ def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reject_constant(token):
+    raise AssertionError(f"{token} is not RFC 8259 JSON")
 
 
 # -------------------------------------------------------------- exit codes
@@ -87,6 +93,28 @@ def test_table_spread_threshold_failure(capsys):
     assert run_cli(args + ["--tol", "10"], capsys)[:2] == (cli.EXIT_OK, out)
     spreads = [float(row["spread"]) for row in csv.DictReader(io.StringIO(out))]
     assert len(spreads) == 2 and min(spreads) > 1e-6
+
+
+def test_table_linear_grid_reaches_the_largest_exponents(capsys):
+    # (max - min) * i overflowed here, though every grid point is finite
+    args = ["table", "--min", "1.0000001", "--max", "1.7e308", "--steps", "3",
+            "--format", "csv"]
+    code, out, err = run_cli(args, capsys)
+    assert err == ""
+    assert code == cli.EXIT_NO_CONVERGENCE  # the n -> 1 row's rounding spread
+    ns = [float(row["n"]) for row in csv.DictReader(io.StringIO(out))]
+    assert ns == [1.0000001, 0.5 * 1.7e308, 1.7e308]
+
+
+@pytest.mark.parametrize(
+    "n_min, n_max, steps",
+    [(2.0, 4.0, 3), (1.0000001, 1.0000002, 2), (1.5, 10.0, 3), (1.01, 1e4, 200),
+     (1.5, 96.0, 5), (1.1, 1e300, 4)],
+)
+def test_table_linear_grid_is_unchanged_where_it_never_overflowed(n_min, n_max, steps):
+    # every grid that printed before keeps every bit
+    pinned = [n_min + (n_max - n_min) * i / (steps - 1) for i in range(steps)]
+    assert cli._grid(n_min, n_max, steps, "linear") == pinned
 
 
 def test_table_bad_ranges(capsys):
@@ -231,6 +259,23 @@ def test_limit_json_rows(capsys):
     assert row["residual"] == pytest.approx(1.6449397e-06, rel=1e-5)
 
 
+def test_json_prints_null_for_a_non_finite_number(capsys):
+    # RFC 8259 has no Infinity or NaN; the exit code still says what happened
+    code, out, _ = run_cli(
+        ["verify", "--subject", "theorem", "--quad-tol", "1e-16", "--format", "json"],
+        capsys,
+    )
+    assert code == cli.EXIT_NO_CONVERGENCE
+    (report,) = json.loads(out, parse_constant=reject_constant)
+    assert report["max_abs_deviation"] is None
+    assert report["pass"] is False
+
+
+def test_json_with_finite_numbers_is_plain_json_dumps(capsys):
+    _, out, _ = run_cli(["eval", "--n", "3", "--format", "json"], capsys)
+    assert out == json.dumps(cli._row_dict(routes.evaluate_all_routes(3.0))) + "\n"
+
+
 # -------------------------------------------------------------------- CSV
 
 def test_eval_csv_round_trips_exactly(capsys):
@@ -361,3 +406,48 @@ def test_import_leaves_module_unloaded(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ------------------------------------------------------- contract property
+
+EXPONENTS = st.floats(min_value=1.0, max_value=1.7e308, exclude_min=True)
+
+
+@st.composite
+def cli_arguments(draw):
+    command = draw(st.sampled_from(["eval", "table", "verify", "limit"]))
+    if command == "eval":
+        args = ["eval", "--n", repr(draw(EXPONENTS))]
+    elif command == "table":
+        low, high = sorted(draw(st.tuples(EXPONENTS, EXPONENTS)))
+        assume(low < high)
+        args = ["table", "--min", repr(low), "--max", repr(high),
+                "--steps", str(draw(st.integers(2, 4))),
+                "--spacing", draw(st.sampled_from(["linear", "log"]))]
+    elif command == "verify":
+        subject = draw(st.sampled_from(["lemma1", "lemma2", "lemma3", "theorem"]))
+        # 1e-16 can never converge: lemma1 then runs every level of all its
+        # integrals (~0.6 s); theorem takes the same non-finite path in 0.1 s
+        quad_tol = "1e-10" if subject == "lemma1" else draw(st.sampled_from(["1e-10", "1e-16"]))
+        args = ["verify", "--subject", subject, "--quad-tol", quad_tol]
+    else:
+        ns = sorted(draw(st.lists(EXPONENTS, min_size=1, max_size=4, unique=True)))
+        args = ["limit", "--n-list", ",".join(map(repr, ns))]
+    return args + ["--format", draw(st.sampled_from(["human", "csv", "json"]))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cli_arguments())
+@example(["table", "--min", "1.0000001", "--max", "1.7e308", "--steps", "3", "--format", "json"])
+@example(["verify", "--subject", "theorem", "--quad-tol", "1e-16", "--format", "json"])
+def test_every_valid_command_keeps_the_contract(args):
+    # no traceback, a documented exit code, and JSON that strict parsers read
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    # a documented exit code, but never 2: every drawn command is valid
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFICATION_FAILED,
+                    cli.EXIT_NO_CONVERGENCE), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if args[-1] == "json" and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=reject_constant)

@@ -1,6 +1,7 @@
 """Special-function layer: oracle values, recurrences, reflection identities."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,35 +83,41 @@ def test_digamma_domain(bad):
         sf.digamma(bad)
 
 
-# ----------------------------------------------------------- hurwitz zeta
+# -------------------------------------------------------------- polygamma
 
-def test_hurwitz_zeta_against_partial_sum_oracle():
-    assert abs(sf.hurwitz_zeta(2.0, 1.0) - zeta_partial(2.0)) <= 5e-12
-    assert abs(sf.hurwitz_zeta(2.0, 0.5) - zeta_partial(2.0, 0.5)) <= 5e-12
-    assert abs(sf.hurwitz_zeta(3.0, 1.0) - zeta_partial(3.0)) <= 5e-12
+def test_polygamma_against_partial_sum_oracle():
+    # psi^(m)(x) = (-1)^(m+1) m! zeta(m+1, x), checked against a brute sum
+    # that shares no Bernoulli machinery with polygamma
+    assert abs(sf.trigamma(1.0) - zeta_partial(2.0)) <= 5e-12
+    assert abs(sf.trigamma(0.5) - zeta_partial(2.0, 0.5)) <= 5e-12
+    assert abs(-sf.polygamma(2, 1.0) / 2.0 - zeta_partial(3.0)) <= 5e-12
 
 
-def test_hurwitz_zeta_known_closed_forms():
+def test_trigamma_known_closed_forms():
     # the oracle itself pins these constants, so asserting against the
     # closed forms directly is justified
     assert abs(zeta_partial(2.0) - math.pi**2 / 6.0) <= 1e-13
     assert abs(zeta_partial(2.0, 0.5) - math.pi**2 / 2.0) <= 1e-13
-    assert sf.hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-12)
-    assert sf.hurwitz_zeta(2.0, 0.5) == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
+    assert sf.trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-12)
+    assert sf.trigamma(0.5) == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
 
 
-def test_hurwitz_zeta_domain():
-    with pytest.raises(sf.DomainError):
-        sf.hurwitz_zeta(1.0, 1.0)
-    with pytest.raises(sf.DomainError):
-        sf.hurwitz_zeta(0.5, 1.0)
-    with pytest.raises(sf.DomainError):
-        sf.hurwitz_zeta(2.0, 0.0)
-    with pytest.raises(sf.DomainError):
-        sf.hurwitz_zeta(2.0, -1.0)
+def test_polygamma_matches_high_precision_at_every_order():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = random.Random(611)
+    xs = [10.0 ** rng.uniform(-8.0, 8.0) for _ in range(60)]
+    for m in range(1, sf.MAX_DERIVATIVE_ORDER + 1):
+        for x in xs:
+            ref = mpmath.polygamma(m, mpmath.mpf(x))
+            assert abs((sf.polygamma(m, x) - ref) / ref) <= 1e-15, (m, x)
 
 
-# -------------------------------------------------------------- polygamma
+@pytest.mark.parametrize("x", [1e200, 1e300, 1.7e308])
+def test_trigamma_at_large_x_is_one_over_x(x):
+    # psi'(x) = 1/x + 1/(2x^2) + ...; the second term is far below an ulp
+    assert abs(sf.trigamma(x) * x - 1.0) <= 1e-15
+
 
 def test_polygamma_against_oracles():
     assert sf.polygamma(1, 1.0) == pytest.approx(zeta_partial(2.0), rel=1e-12)
