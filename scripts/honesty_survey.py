@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Survey the quadrature engine's error claims against 40-digit mpmath.
 
-For each family of integrals and each tolerance it prints the mean
-evaluation count, how many outcomes converged, how many of those are
-dishonest (|value - ref| > 10 * error estimate) and the worst ratio
-|value - ref| / error estimate.  The families are:
+For each family of integrals and each tolerance it prints the mean and
+the largest evaluation count, how many outcomes converged, how many of
+those are dishonest (|value - ref| > 10 * error estimate) and the worst
+ratio |value - ref| / error estimate.  The families are:
 
 * sweep/<seed> - numeric_I at n - 1 log-uniform on [10^-1.3, 10^2.7],
   drawn stratified exactly as perfbench draws the `sweep` pool of a seed;
@@ -105,15 +105,16 @@ def main() -> int:
     mpmath.mp.dps = 40
 
     print(f"{'family':>8s} {'tol':>8s} {'outcomes':>8s} {'converged':>9s} "
-          f"{'mean evals':>10s} {'dishonest':>9s} {'worst ratio':>11s}")
+          f"{'mean evals':>10s} {'max evals':>9s} {'dishonest':>9s} {'worst ratio':>11s}")
     total = 0
     for name, cases in families(args.seeds, args.count, args.lemma1_z).items():
         for tol in args.tols:
-            evals = converged = dishonest = 0
+            evals = most = converged = dishonest = 0
             worst = 0.0
             for run, ref in cases:
                 outcome = run(tol)
                 evals += outcome.evaluations
+                most = max(most, outcome.evaluations)
                 if not outcome.converged:
                     continue
                 converged += 1
@@ -123,7 +124,7 @@ def main() -> int:
                 worst = max(worst, miss / outcome.error_estimate)
             total += dishonest
             print(f"{name:>8s} {tol:8.0e} {len(cases):8d} {converged:9d} "
-                  f"{evals / len(cases):10.1f} {dishonest:9d} {worst:11.3g}")
+                  f"{evals / len(cases):10.1f} {most:9d} {dishonest:9d} {worst:11.3g}")
     print(f"\ndishonest outcomes: {total}")
     return 1 if total else 0
 

@@ -278,8 +278,9 @@ def integrate_semi_infinite(
                 else:
                     used += 1
                     c = far_w * f(x)
-                    l1 += abs(c)
-                    if abs(c) <= cut * l1:
+                    size = abs(c)
+                    l1 += size
+                    if size <= cut * l1:
                         far_tiny += 1
                         if far_tiny >= 2:
                             far_alive = False
@@ -293,8 +294,9 @@ def integrate_semi_infinite(
                 else:
                     used += 1
                     c = near_w * f(x)
-                    l1 += abs(c)
-                    if abs(c) <= cut * l1:
+                    size = abs(c)
+                    l1 += size
+                    if size <= cut * l1:
                         near_tiny += 1
                         if near_tiny >= 2:
                             near_alive = False

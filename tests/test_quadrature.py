@@ -309,6 +309,8 @@ GOLDEN_RUNS = {
     "semi exp(-x) (0,inf)": lambda: integrate_semi_infinite(lambda x: math.exp(-x), 0.0),
     "semi x^-2 (2.5,inf)": lambda: integrate_semi_infinite(lambda x: 1.0 / (x * x), 2.5),
     "bilateral lemma1(2,0.35)": lambda: integrate_bilateral(lemma1_integrand(2, 0.35)),
+    "numeric_I 1+2^-52": lambda: numeric_I(1.0 + 2.0**-52),
+    "numeric_I 1.001": lambda: numeric_I(1.001),
     "numeric_I 1.5": lambda: numeric_I(1.5),
     "numeric_I 3": lambda: numeric_I(3.0),
     "numeric_I 100": lambda: numeric_I(100.0),
@@ -319,9 +321,10 @@ GOLDEN_RUNS = {
 # extrapolated error estimate (last three level differences, floored at
 # eps * max(1, |value|)), no convergence claimed before level 3, the
 # exp-sinh sides cut at eps of the pass's L1 sum (halved per level from
-# level 3) and route 4's expm1 integrand; any change to the node tables,
-# the summation order, the stop rules or the estimate must be re-recorded
-# here on purpose.
+# level 3) and route 4's expm1 integrand, taken in u = (n-1)s for n < 2
+# (the n < 2 entries; n = 3, 100 and 600 pin the unscaled path); any change
+# to the node tables, the summation order, the stop rules, the estimate or
+# route 4's integrand must be re-recorded here on purpose.
 GOLDEN = {
     "finite log (0,1)": ("-0x1.0000000000000p+0", "0x1.0000000000000p-52", 75, True),
     "finite wiggle (0.1,2.3)": ("0x1.f3aa3d26248f4p+2", "0x1.dff9f73178472p-35", 51, True),
@@ -329,7 +332,9 @@ GOLDEN = {
     "semi exp(-x) (0,inf)": ("0x1.0000000000000p+0", "0x1.f6fe90a4fe1bcp-43", 108, True),
     "semi x^-2 (2.5,inf)": ("0x1.9999999999999p-2", "0x1.0000000000000p-52", 70, True),
     "bilateral lemma1(2,0.35)": ("0x1.3e6685d69753cp+5", "0x1.3334b076e2e7cp-45", 334, True),
-    "numeric_I 1.5": ("0x1.76505acbb952ep+1", "0x1.76505acbb952ep-51", 167, True),
+    "numeric_I 1+2^-52": ("0x1.0000000000000p+104", "0x1.7deb8ba059a86p+68", 96, True),
+    "numeric_I 1.001": ("0x1.e847cb7790d81p+19", "0x1.7333977ef04fep-16", 92, True),
+    "numeric_I 1.5": ("0x1.76505acbb952fp+1", "0x1.892676eb47bf9p-34", 90, True),
     "numeric_I 3": ("-0x1.76505acbb952fp-1", "0x1.892676eb47bf9p-36", 90, True),
     "numeric_I 100": ("-0x1.ffea6e9c36ceap-1", "0x1.79245dce2230ap-36", 91, True),
     "numeric_I 600": ("-0x1.ffff66adf7bbcp-1", "0x1.84a043dbf8d55p-36", 92, True),

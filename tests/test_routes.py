@@ -260,8 +260,8 @@ def test_numeric_independent_of_special_functions(monkeypatch):
     for name in ("lgamma", "digamma", "polygamma", "trigamma",
                  "cot_derivative", "gamma_reflection_defect"):
         monkeypatch.setattr(specfun, name, boom)
-    outcome = rt.numeric_I(3.0)
-    assert outcome.converged
+    for n in (1.001, 1.5, 3.0):  # the scaled (n < 2) and unscaled paths
+        assert rt.numeric_I(n).converged, n
 
 
 @given(st.floats(min_value=1.0, max_value=1e12, exclude_min=True))
@@ -274,6 +274,9 @@ def test_numeric_independent_of_special_functions(monkeypatch):
 @example(7800.0)
 @example(1.079725549616809)  # an estimate trusting d1/d0 alone is 723x short here
 @example(1.992158118610299)  # |I| << 1, so the roundoff floor is set by max(1, |I|)
+@example(1.0137709956730034)  # these three: level-3 claims 84x, 23x and 28x short
+@example(1.0559971604778275)  # at coarse tolerances before the u = (n-1)s scaling
+@example(1.2936014801148277)
 def test_numeric_follows_the_closed_form_over_the_whole_domain(n):
     # |I| grows like 1/(n-1)^2 as n -> 1; the route must follow it there
     # without raising, and stay honest about what it claims
@@ -294,6 +297,11 @@ NEAR_TWO = [1.992158118610299, 2.0016026626202255, 1.9929471004091046]
 COARSE = [1.1457761249395162, 1.803973458157348]
 
 
+def _trig_reference(mpmath, n):
+    x = mpmath.pi / mpmath.mpf(n)
+    return -(x**2) * mpmath.cot(x) / mpmath.sin(x)
+
+
 @pytest.mark.parametrize("quad_tol", [1e-4, 1e-5, 1e-8, 1e-10, 1e-12, 1e-14])
 def test_numeric_error_estimate_is_honest_at_every_tolerance(quad_tol):
     mpmath = pytest.importorskip("mpmath")
@@ -304,9 +312,34 @@ def test_numeric_error_estimate_is_honest_at_every_tolerance(quad_tol):
         outcome = rt.numeric_I(n, quad_tol)
         if not outcome.converged:
             continue
-        x = mpmath.pi / mpmath.mpf(n)
-        ref = -(x**2) * mpmath.cot(x) / mpmath.sin(x)
+        ref = _trig_reference(mpmath, n)
         assert abs(outcome.value - ref) <= 10.0 * outcome.error_estimate, n
+
+
+# Integrated in s = |ln x| at unit scale, these stopped at level 3 with an
+# estimate 84x, 23x and 28x short of the true error: the mass near
+# s ~ 1/(n-1) was still unresolved.  In u = (n-1)s it is resolved by then.
+@pytest.mark.parametrize(
+    "n, quad_tol",
+    [(1.0137709956730034, 1e-4), (1.0559971604778275, 1e-4), (1.2936014801148277, 1e-6)],
+)
+def test_numeric_error_estimate_is_honest_next_to_one(n, quad_tol):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    outcome = rt.numeric_I(n, quad_tol)
+    assert outcome.converged
+    assert abs(outcome.value - _trig_reference(mpmath, n)) <= 10.0 * outcome.error_estimate
+
+
+def test_numeric_evaluations_are_bounded_at_every_scale():
+    # exp-sinh centres its nodes at unit scale; without the u = (n-1)s
+    # scaling the ladder walked out to s ~ 1/(n-1) (1605 evaluations at
+    # n = 1 + 1e-15).  The counts are deterministic.
+    for k in range(-60, 49):  # n - 1 = 10^(k/4), from 1e-15 to 1e12
+        n = 1.0 + 10.0 ** (k / 4.0)
+        outcome = rt.numeric_I(n)
+        assert outcome.converged, n
+        assert outcome.evaluations <= 96, (n, outcome.evaluations)
 
 
 def test_evaluate_all_routes():

@@ -21,7 +21,7 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
         pytest.param(
             "honesty_survey.py",
             ["--seeds", "1", "--count", "16", "--lemma1-z", "3", "--tols", "1e-4", "1e-10"],
-            "family tol outcomes converged mean evals dishonest worst ratio",
+            "family tol outcomes converged mean evals max evals dishonest worst ratio",
             marks=pytest.mark.skipif(
                 importlib.util.find_spec("mpmath") is None, reason="needs mpmath"
             ),
