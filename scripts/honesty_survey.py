@@ -9,10 +9,11 @@ ratio |value - ref| / error estimate.  The families are:
 * sweep/<seed> - numeric_I at n - 1 log-uniform on [10^-1.3, 10^2.7],
   drawn stratified exactly as perfbench draws the `sweep` pool of a seed;
 * full/<seed> - the same on [1e-3, 1e4], perfbench's full-range probe;
-* lemma1 - the bilateral lemma1 integral for m = 1, 2, 3 on an even z grid
-  over [0.1, 0.9] (its evaluations are calls of f, two per node);
+* lemma1 - the lemma1 integral for m = 1, 2, 3 on an even z grid over
+  [0.1, 0.9], folded at zero as ``verify_lemma1`` integrates it (one call
+  of the folded integrand per node);
 * known - twelve integrals with closed-form values, on all three
-  transforms.
+  transforms (the bilateral engine through three of them).
 
 It exits 1 if any converged outcome is dishonest.  Needs mpmath.
 
@@ -28,7 +29,7 @@ import sys
 import mpmath
 
 from logint.quadrature import integrate_bilateral, integrate_finite, integrate_semi_infinite
-from logint.routes import lemma1_integrand, numeric_I
+from logint.routes import _lemma1_folded, numeric_I
 
 DISHONEST_FACTOR = 10.0
 TOLS = [10.0**-k for k in range(4, 16)]
@@ -87,7 +88,7 @@ def families(seeds, count, lemma1_z):
             ]
     zs = [0.1 + 0.8 * i / (lemma1_z - 1) for i in range(lemma1_z)] if lemma1_z > 1 else [0.5]
     out["lemma1"] = [
-        (lambda c, m=m, z=z: integrate_bilateral(lemma1_integrand(m, z), c), lemma1_reference(m, z))
+        (lambda c, m=m, z=z: integrate_semi_infinite(_lemma1_folded(m, z), 0.0, c), lemma1_reference(m, z))
         for m in (1, 2, 3)
         for z in zs
     ]

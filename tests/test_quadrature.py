@@ -193,9 +193,6 @@ def test_tol_validation(taker, tol, monkeypatch):
         routes, "integrate_semi_infinite",
         lambda f, a, t: integrate_semi_infinite(counted(f), a, t),
     )
-    monkeypatch.setattr(
-        routes, "integrate_bilateral", lambda f, t: integrate_bilateral(counted(f), t)
-    )
     with pytest.raises(ValueError, match="tolerance"):
         TOL_TAKERS[taker](counted(lambda x: math.exp(-x * x)), tol)
     assert calls == []

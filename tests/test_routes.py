@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -226,7 +227,6 @@ def test_gamma_derivative_never_calls_quadrature(monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_semi_infinite", boom)
     monkeypatch.setattr(quadrature, "integrate_bilateral", boom)
     monkeypatch.setattr(rt, "integrate_semi_infinite", boom)
-    monkeypatch.setattr(rt, "integrate_bilateral", boom)
     rt.closed_form_trigamma(3.0)
     rt.closed_form_gamma_derivative(3.0)
     rt.closed_form_trig(3.0)
@@ -406,6 +406,10 @@ def test_lemma1_integrand_survives_extreme_arguments():
     assert f(-1e6) == 0.0
     assert math.isfinite(f(500.0))
     assert math.isfinite(f(-500.0))
+    g = rt._lemma1_folded(3, 0.2)
+    assert g(1e6) == 0.0
+    assert g(1e200) == 0.0  # where t^2 alone would overflow
+    assert math.isfinite(g(500.0))
 
 
 def test_lemma1_integrand_validation():
@@ -417,6 +421,57 @@ def test_lemma1_integrand_validation():
         rt.lemma1_integrand(1, 0.0)
     with pytest.raises(specfun.DomainError):
         rt.lemma1_integrand(1, 1.0)
+
+
+@pytest.mark.parametrize(
+    "m, z",
+    [(0, 0.5), (4, 0.5), (2.0, 0.5), (True, 0.5), (1, 0.0), (1, 1.0), (3, math.nan), (2, -0.1)],
+)
+def test_folded_lemma1_rejects_what_the_integrand_rejects(m, z):
+    with pytest.raises(ValueError) as expected:
+        rt.lemma1_integrand(m, z)
+    for build in (rt._lemma1_folded, lambda m, z: rt.verify_lemma1(m, (z,))):
+        with pytest.raises(ValueError) as got:
+            build(m, z)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+
+LEMMA1_Z = sorted(set(rt.DEFAULT_LEMMA1_GRID) | {0.12, 0.88})
+
+
+def test_folded_lemma1_integrand_matches_high_precision():
+    # g(t) = f(t) + f(-t) in one call, measured against the scale of its
+    # two terms, |f(t)| + |f(-t)|: the terms cancel for even m.  Below the
+    # smallest normal double no value carries relative precision, so the
+    # scale is floored there.  For m = 3, t^m alone underflows to 0 below
+    # t ~ 1e-108, while g ~ 2t^2 is a normal double down to t ~ 1e-154.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    ts = [10.0 ** (k / 4.0) for k in range(-1200, 13)]  # 1e-300 ... 1e3
+    for m in (1, 2, 3):
+        for z in (0.12, 0.35, 0.5, 0.65, 0.88):
+            g = rt._lemma1_folded(m, z)
+            w = mpmath.mpf(z)
+            for t in ts:
+                u = mpmath.mpf(t)
+                plus = u**m * mpmath.exp(-w * u) / -mpmath.expm1(-u)
+                minus = (-u) ** m * mpmath.exp(w * u) / -mpmath.expm1(u)
+                scale = abs(plus) + abs(minus) + sys.float_info.min
+                assert abs(g(t) - (plus + minus)) <= 1e-13 * scale, (m, z, t)
+
+
+@pytest.mark.parametrize("quad_tol", [1e-6, 1e-10, 1e-13])
+@pytest.mark.parametrize("z", LEMMA1_Z)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_folded_lemma1_follows_the_bilateral_integral(m, z, quad_tol):
+    # the bilateral engine folds f(t) + f(-t) too, at the same nodes; it
+    # counts two calls of f per node where the folded form makes one
+    bilateral = integrate_bilateral(rt.lemma1_integrand(m, z), quad_tol)
+    folded = quadrature.integrate_semi_infinite(rt._lemma1_folded(m, z), 0.0, quad_tol)
+    assert bilateral.evaluations == 2 * folded.evaluations
+    assert bilateral.converged == folded.converged
+    assert abs(folded.value - bilateral.value) <= 1e-15 * abs(bilateral.value)
 
 
 # --------------------------------------------------------------- verifiers
@@ -437,22 +492,32 @@ def test_lemma1_center_point_reproduces_pi_squared():
     assert 2.0 * zeta_partial(2.0, 0.5) == pytest.approx(PI2, rel=1e-13)
 
 
+# The lemma1 integral both ways: the whole-line integrand through the
+# bilateral engine, and the folded form verify_lemma1 integrates.
+LEMMA1_PATHS = {
+    "bilateral": lambda m, z: integrate_bilateral(rt.lemma1_integrand(m, z)),
+    "folded": lambda m, z: quadrature.integrate_semi_infinite(rt._lemma1_folded(m, z), 0.0),
+}
+
+
 def test_lemma1_even_order_cancels_at_center():
-    outcome = integrate_bilateral(rt.lemma1_integrand(2, 0.5))
-    assert outcome.converged
-    assert outcome.value == 0.0
+    for path, integrate in LEMMA1_PATHS.items():
+        outcome = integrate(2, 0.5)
+        assert outcome.converged, path
+        assert outcome.value == 0.0, path
 
 
-@pytest.mark.parametrize("z", sorted(set(rt.DEFAULT_LEMMA1_GRID) | {0.12, 0.88}))
+@pytest.mark.parametrize("z", LEMMA1_Z)
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_lemma1_quadrature_is_honest(m, z):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     w = mpmath.mpf(z)
     ref = mpmath.polygamma(m, 1 - w) + (-1) ** (m + 1) * mpmath.polygamma(m, w)
-    outcome = integrate_bilateral(rt.lemma1_integrand(m, z))
-    assert outcome.converged
-    assert abs(outcome.value - ref) <= 10.0 * outcome.error_estimate
+    for path, integrate in LEMMA1_PATHS.items():
+        outcome = integrate(m, z)
+        assert outcome.converged, path
+        assert abs(outcome.value - ref) <= 10.0 * outcome.error_estimate, path
 
 
 def test_verify_lemma2_passes_and_matches_cosecant_form():
@@ -509,6 +574,21 @@ def test_verify_theorem_reports_nonconvergence_as_infinite_deviation():
     report = rt.verify_theorem(n_grid=(3.0,), quad_tol=1e-16)
     assert not report.passed
     assert math.isinf(report.max_abs_deviation)
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda: rt.verify_lemma1(1, []),
+        lambda: rt.verify_lemma2(3, []),
+        lambda: rt.verify_lemma3([]),
+        lambda: rt.verify_theorem([]),
+    ],
+    ids=["lemma1", "lemma2", "lemma3", "theorem"],
+)
+def test_verifiers_reject_an_empty_grid(verify):
+    with pytest.raises(ValueError, match="verification grid must not be empty"):
+        verify()
 
 
 def test_report_invariants_enforced():
