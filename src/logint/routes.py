@@ -152,13 +152,15 @@ def closed_form_trig(n: float) -> float:
 
     For n < 2 the angle is written pi - y, y = pi (n-1)/n with n - 1 exact,
     because pi/n itself rounds next to pi as n -> 1 and sin(pi/n) is lost.
+    Its cosine is taken as sin(pi/2 - y) = sin((pi/2)(2-n)/n), with 2 - n
+    exact, because cos y cancels as y -> pi/2, where I -> 0 at n -> 2.
     Where n*n overflows (n > 1.3e154) it is -cos x (x / sin x)^2, x = pi/n.
     """
     v = _check_n(n)
     if v < 2.0:
-        y = math.pi * ((v - 1.0) / v)
-        s = math.sin(y)
-        return (math.pi * math.pi) / (v * v) * math.cos(y) / (s * s)
+        s = math.sin(math.pi * ((v - 1.0) / v))
+        c = math.sin(_HALF_PI * ((2.0 - v) / v))
+        return (math.pi * math.pi) / (v * v) * c / (s * s)
     x = math.pi / v
     s = math.sin(x)
     if math.isinf(v * v):

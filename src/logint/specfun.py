@@ -2,7 +2,9 @@
 
 Log-gamma, digamma and polygamma share one scheme: shift the argument
 upward by recurrence until the asymptotic (de Moivre / Stirling) series in
-Bernoulli numbers applies, then sum that series by Horner's rule.
+Bernoulli numbers applies, then sum that series by Horner's rule.  The
+log-gamma shift multiplies (x+1)(x+2)... together and takes one log of the
+product beside ln x; digamma adds its shift terms 1/y into one running sum.
 Derivatives of cot are kept exact as integer-coefficient polynomials in
 c = cot x.
 
@@ -62,16 +64,19 @@ _HALF_LN_TWO_PI = 0.9189385332046727  # ln(2*pi)/2
 # series is applied; at 12 the last retained term is already ~1e-18.
 _ASYMPTOTIC_START = 12.0
 
+# Each series below is stored highest k first, as Horner's rule reads it.
+
 # ln Gamma(x) ~ (x - 1/2) ln x - x + ln(2 pi)/2 + sum_k c_k x^(1-2k)
 # with c_k = B_2k / (2k (2k-1)).
 _LGAMMA_SERIES = tuple(
     num / (den * 2 * k * (2 * k - 1))
-    for k, (num, den) in enumerate(_BERNOULLI, start=1)
+    for k, (num, den) in reversed(tuple(enumerate(_BERNOULLI, start=1)))
 )
 
 # psi(x) ~ ln x - 1/(2x) - sum_k d_k x^(-2k) with d_k = B_2k / (2k).
 _DIGAMMA_SERIES = tuple(
-    num / (den * 2 * k) for k, (num, den) in enumerate(_BERNOULLI[:7], start=1)
+    num / (den * 2 * k)
+    for k, (num, den) in reversed(tuple(enumerate(_BERNOULLI[:7], start=1)))
 )
 
 # psi^(m)(x) ~ (-1)^(m+1) [(m-1)!/x^m + m!/(2x^(m+1)) + sum_k e_mk x^(-2k-m)]
@@ -79,7 +84,7 @@ _DIGAMMA_SERIES = tuple(
 _POLYGAMMA_SERIES = tuple(
     tuple(
         num * math.factorial(2 * k + m - 1) / (den * math.factorial(2 * k))
-        for k, (num, den) in enumerate(_BERNOULLI, start=1)
+        for k, (num, den) in reversed(tuple(enumerate(_BERNOULLI, start=1)))
     )
     for m in range(1, MAX_DERIVATIVE_ORDER + 1)
 )
@@ -89,7 +94,7 @@ _COT_POLE_GUARD = 1e-12
 
 
 def _require_positive(x: float, where: str) -> None:
-    if math.isnan(x) or math.isinf(x) or x <= 0.0:
+    if not (0.0 < x < math.inf):  # also rejects nan
         raise DomainError(f"{where} requires a finite argument > 0, got {x!r}")
 
 
@@ -106,14 +111,18 @@ def lgamma(x: float) -> float:
     shift = 0.0
     y = x
     if y < _ASYMPTOTIC_START:
-        logs = []
+        # ln x stays apart so that a tiny or subnormal x loses nothing; the
+        # rest of the shift is one log of a product below 12!
+        shift = math.log(y)
+        y += 1.0
+        product = 1.0
         while y < _ASYMPTOTIC_START:
-            logs.append(math.log(y))
+            product *= y
             y += 1.0
-        shift = math.fsum(logs)
+        shift += math.log(product)
     r = 1.0 / (y * y)
     series = 0.0
-    for c in reversed(_LGAMMA_SERIES):
+    for c in _LGAMMA_SERIES:
         series = series * r + c
     series /= y
     return (y - 0.5) * math.log(y) - y + _HALF_LN_TWO_PI + series - shift
@@ -135,18 +144,15 @@ def digamma(x: float) -> float:
     """psi(x) = d/dx ln Gamma(x) for finite x > 0."""
     _require_positive(x, "digamma")
     y = x
-    recips = []
+    shift = 0.0
     while y < _ASYMPTOTIC_START:
-        recips.append(1.0 / y)
+        shift += 1.0 / y
         y += 1.0
     r = 1.0 / (y * y)
     series = 0.0
-    for d in reversed(_DIGAMMA_SERIES):
+    for d in _DIGAMMA_SERIES:
         series = series * r + d
-    value = math.log(y) - 0.5 / y - series * r
-    if recips:
-        value -= math.fsum(recips)
-    return value
+    return math.log(y) - 0.5 / y - series * r - shift
 
 
 def polygamma(m: int, x: float) -> float:
@@ -155,27 +161,40 @@ def polygamma(m: int, x: float) -> float:
     x is raised by psi^(m)(x) = psi^(m)(x+1) + (-1)^(m+1) m! x^(-m-1) to at
     least 8 + 2m, as the series terms grow like (2k+m-1)!.  One fsum adds
     the shift terms, the leading (m-1)!/y^m and the rest of the series.
+    Once |psi^(m)(x)| ~ m!/x^(m+1) passes the largest double, OverflowError
+    is raised, as math.gamma does; for m >= 2 a narrow band of x just above
+    that point, where m! x^(-m-1) overflows but x^(-m-1) does not, gives +-inf.
     """
     _check_order(m, low=1)
     _require_positive(x, "polygamma")
+    return _polygamma(m, x)
+
+
+def trigamma(x: float) -> float:
+    """psi'(x), bit for bit polygamma(1, x) without its order check.
+
+    Raises OverflowError below x ~ 7.5e-155, where 1/x^2 passes the largest double.
+    """
+    _require_positive(x, "trigamma")
+    return _polygamma(1, x)
+
+
+def _polygamma(m: int, x: float) -> float:
+    # polygamma's body; the caller has checked m and x
     fact = math.factorial(m)
     terms, y = [], x
-    while y < 8.0 + 2 * m:
-        terms.append(fact * y ** -(m + 1))
+    append, power, start = terms.append, -(m + 1), 8.0 + 2 * m
+    while y < start:
+        append(fact * y**power)
         y += 1.0
     r = 1.0 / (y * y)
     series = 0.0
-    for e in reversed(_POLYGAMMA_SERIES[m - 1]):
+    for e in _POLYGAMMA_SERIES[m - 1]:
         series = series * r + e
     p = y**-m  # not 1/y**m: y**m raises OverflowError past 1.8e308
     terms += (fact // m) * p, p * (0.5 * fact / y + series * r)
     value = math.fsum(terms)
     return value if m % 2 else -value
-
-
-def trigamma(x: float) -> float:
-    """psi'(x); identical to polygamma(1, x)."""
-    return polygamma(1, x)
 
 
 class _CotPolynomialFields(NamedTuple):

@@ -411,6 +411,8 @@ def test_import_leaves_module_unloaded(module):
 # ------------------------------------------------------- contract property
 
 EXPONENTS = st.floats(min_value=1.0, max_value=1.7e308, exclude_min=True)
+# any finite --tol > 0 is valid; it only moves the pass/fail verdict
+TOLERANCES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
@@ -425,7 +427,7 @@ def cli_arguments(draw):
                 "--steps", str(draw(st.integers(2, 4))),
                 "--spacing", draw(st.sampled_from(["linear", "log"]))]
     elif command == "verify":
-        subject = draw(st.sampled_from(["lemma1", "lemma2", "lemma3", "theorem"]))
+        subject = draw(st.sampled_from(["lemma1", "lemma2", "lemma3", "theorem", "all"]))
         # 1e-16 can never converge, so a non-finite deviation reaches the
         # output; lemma1 then runs every level of all its integrals (0.1 s)
         quad_tol = draw(st.sampled_from(["1e-10", "1e-16"]))
@@ -433,6 +435,8 @@ def cli_arguments(draw):
     else:
         ns = sorted(draw(st.lists(EXPONENTS, min_size=1, max_size=4, unique=True)))
         args = ["limit", "--n-list", ",".join(map(repr, ns))]
+    if command != "limit" and draw(st.booleans()):
+        args += ["--tol", repr(draw(TOLERANCES))]
     return args + ["--format", draw(st.sampled_from(["human", "csv", "json"]))]
 
 
@@ -441,6 +445,7 @@ def cli_arguments(draw):
 @example(["table", "--min", "1.0000001", "--max", "1.7e308", "--steps", "3", "--format", "json"])
 @example(["verify", "--subject", "theorem", "--quad-tol", "1e-16", "--format", "json"])
 @example(["verify", "--subject", "lemma1", "--quad-tol", "1e-16", "--format", "json"])
+@example(["verify", "--subject", "all", "--quad-tol", "1e-16", "--tol", "5e-324", "--format", "json"])
 def test_every_valid_command_keeps_the_contract(args):
     # no traceback, a documented exit code, and JSON that strict parsers read
     out, err = io.StringIO(), io.StringIO()

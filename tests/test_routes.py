@@ -106,6 +106,23 @@ def test_trig_form_near_one_matches_high_precision(form):
         assert err <= 2e-15, n
 
 
+def test_trig_form_below_two_keeps_relative_accuracy():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+
+    def reference(n):
+        x = mpmath.pi / mpmath.mpf(n)
+        return -(mpmath.pi / mpmath.mpf(n)) ** 2 * mpmath.cot(x) / mpmath.sin(x)
+
+    # I -> 0 as n -> 2; cos y at y = pi (n-1)/n -> pi/2 cancelled there and
+    # was 0.62 off (relative) at n = 2 - 2^-52.  Relative to |ref| itself.
+    grid = [2.0 - 2.0**-52, 2.0 - 2.0**-51]
+    grid += [2.0 - 10.0 ** (-k / 8.0) for k in range(1, 128)]
+    for n in grid:
+        ref = reference(n)
+        assert abs(rt.closed_form_trig(n) - ref) <= 2e-15 * abs(ref), n
+
+
 def test_trig_form_from_two_up_is_unchanged():
     # recorded before the n < 2 branch existed; n >= 2 must not move a bit
     recorded = {

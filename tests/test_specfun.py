@@ -40,6 +40,22 @@ def test_lgamma_tracks_stdlib_over_contract_range():
         x *= 1.17
 
 
+def oracle_sample(seed):
+    # log-uniform over the whole positive range route 3 reaches, uniform
+    # around lgamma's zeros at 1 and 2 and digamma's at 1.46
+    rng = random.Random(seed)
+    xs = [10.0 ** rng.uniform(-307.0, 8.0) for _ in range(1500)]
+    return xs + [rng.uniform(0.5, 2.5) for _ in range(500)]
+
+
+def test_lgamma_matches_high_precision():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for x in oracle_sample(1407) + [5e-324]:
+        ref = mpmath.loggamma(mpmath.mpf(x))
+        assert abs(sf.lgamma(x) - ref) <= 2e-14 * max(1, abs(ref)), x
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf])
 def test_lgamma_domain(bad):
     with pytest.raises(sf.DomainError):
@@ -75,6 +91,17 @@ def test_digamma_recurrence_on_grid():
     for i in range(500):
         x = 0.01 + i * (50.0 - 0.01) / 499.0
         assert abs(sf.digamma(x + 1.0) - sf.digamma(x) - 1.0 / x) <= 1e-11
+
+
+def test_digamma_matches_high_precision():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for x in oracle_sample(1408):
+        ref = mpmath.digamma(mpmath.mpf(x))
+        assert abs(sf.digamma(x) - ref) <= 3e-15 * max(1, abs(ref)), x
+    # psi(x) ~ -1/x; at the smallest subnormal that is -2e323, past the
+    # largest double
+    assert sf.digamma(5e-324) == -math.inf
 
 
 @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan, math.inf])
@@ -126,8 +153,47 @@ def test_polygamma_against_oracles():
 
 
 def test_trigamma_matches_polygamma_order_one():
-    for x in (0.25, 1.0, 3.7, 41.0):
-        assert sf.trigamma(x) == sf.polygamma(1, x)
+    rng = random.Random(1409)
+    xs = [10.0 ** rng.uniform(-150.0, 300.0) for _ in range(2000)]
+    for x in [0.25, 1.0, 3.7, 41.0] + xs:
+        assert sf.trigamma(x) == sf.polygamma(1, x), x
+
+
+# psi^(m)(x), m = 1, 2, 3, recorded before trigamma bypassed polygamma's
+# checks and the shift loop was trimmed: the lemma2 grid, a tiny x, a
+# quarter, the shift's worst power-of-two crossing and a large x.  lemma2
+# and route 2 read these bits, so any rounding change must show here.
+POLYGAMMA_RECORDED = {
+    0.15: ("0x1.6e51ed82accc7p+5", "-0x1.291f8f5e57e24p+9", "0x1.727d4f7110bc8p+13"),
+    0.2375: ("0x1.2f1535651b5e3p+4", "-0x1.2d4fe9ef026f2p+7", "0x1.d82c7253f232ep+10"),
+    0.32499999999999996: ("0x1.5251c1f93decbp+3", "-0x1.db36e383ac193p+5", "0x1.0e0416f972a08p+9"),
+    0.4125: ("0x1.b8f724d29d24dp+2", "-0x1.d7607e14efd1cp+4", "0x1.a1fc173402378p+7"),
+    0.5: ("0x1.3bd3cc9be45dep+2", "-0x1.0d42c0452055dp+4", "0x1.85a2e8c290826p+6"),
+    0.5875: ("0x1.e1dcdd2834b0fp+1", "-0x1.529442a469241p+3", "0x1.9c0eb51446f1bp+5"),
+    0.6749999999999999: ("0x1.806f9750dc5f0p+1", "-0x1.c85222a4cd057p+2", "0x1.dd772dd7d5780p+4"),
+    0.7625: ("0x1.3d11df9a99473p+1", "-0x1.440ede7acd1bcp+2", "0x1.287954b20c8c3p+4"),
+    0.85: ("0x1.0c4121115e65ep+1", "-0x1.df81f1b2d4c66p+1", "0x1.84beb6436e6f8p+3"),
+    1e-60: ("0x1.8c8dac6a0342bp+398", "-0x1.ed8d34e547315p+598", "0x1.ccb4f4db843d6p+799"),
+    0.25: ("0x1.1328429d927c6p+4", "-0x1.02a7cd8772a0ep+7", "0x1.80b20ea5bf0e8p+10"),
+    31.382895422458322: ("0x1.093ca7b44c17ap-5", "-0x1.12c87d4d7f8c5p-10", "0x1.1ca5ec12758a9p-14"),
+    1e8: ("0x1.5798ee3fdb764p-27", "-0x1.cd2b29cae7a63p-54", "0x1.357c29e86b560p-79"),
+}
+
+
+@pytest.mark.parametrize("x", sorted(POLYGAMMA_RECORDED))
+def test_polygamma_bits_are_unchanged(x):
+    for m, value in enumerate(POLYGAMMA_RECORDED[x], start=1):
+        assert sf.polygamma(m, x) == float.fromhex(value), (m, x)
+
+
+@pytest.mark.parametrize("m, x", [(1, 1e-160), (1, 7.4e-155), (2, 1e-150), (3, 1e-150)])
+def test_polygamma_overflow_raises(m, x):
+    # |psi^(m)(x)| ~ m!/x^(m+1) is past the largest double, as math.gamma(1e-320) is
+    with pytest.raises(OverflowError):
+        sf.polygamma(m, x)
+    if m == 1:
+        with pytest.raises(OverflowError):
+            sf.trigamma(x)
 
 
 def test_trigamma_values_and_recurrence():
