@@ -10,8 +10,9 @@ ratio |value - ref| / error estimate.  The families are:
   drawn stratified exactly as perfbench draws the `sweep` pool of a seed;
 * full/<seed> - the same on [1e-3, 1e4], perfbench's full-range probe;
 * lemma1 - the lemma1 integral for m = 1, 2, 3 on an even z grid over
-  [0.1, 0.9], folded at zero as ``verify_lemma1`` integrates it (one call
-  of the folded integrand per node);
+  [0.1, 0.9], as ``verify_lemma1`` integrates it: folded at zero and
+  taken in u = min(z, 1-z) t / 2 (one call of the scaled integrand per
+  node);
 * known - twelve integrals with closed-form values, on all three
   transforms (the bilateral engine through three of them).
 
@@ -29,7 +30,7 @@ import sys
 import mpmath
 
 from logint.quadrature import integrate_bilateral, integrate_finite, integrate_semi_infinite
-from logint.routes import _lemma1_folded, numeric_I
+from logint.routes import _lemma1_scaled, numeric_I
 
 DISHONEST_FACTOR = 10.0
 TOLS = [10.0**-k for k in range(4, 16)]
@@ -88,7 +89,7 @@ def families(seeds, count, lemma1_z):
             ]
     zs = [0.1 + 0.8 * i / (lemma1_z - 1) for i in range(lemma1_z)] if lemma1_z > 1 else [0.5]
     out["lemma1"] = [
-        (lambda c, m=m, z=z: integrate_semi_infinite(_lemma1_folded(m, z), 0.0, c), lemma1_reference(m, z))
+        (lambda c, m=m, z=z: integrate_semi_infinite(_lemma1_scaled(m, z), 0.0, c), lemma1_reference(m, z))
         for m in (1, 2, 3)
         for z in zs
     ]

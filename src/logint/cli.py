@@ -1,7 +1,8 @@
 """Command-line front end: evaluate the integral, tabulate it over a grid,
 verify the identity chain, and probe the n -> infinity limit.
 
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
+Exit codes: 0 success / all checks pass, 1 verification failure (or stdout
+closed before the payload was written, as by ``| head``), 2 usage or
 domain error, 3 quadrature non-convergence (or an eval/table spread above
 the pass threshold, or an arithmetic error such as an overflow inside a
 route).  CSV and JSON payloads are stable machine formats;
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -338,7 +340,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             _check_tol(args.quad_tol)  # even where no quadrature runs
             if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
                 raise ValueError(f"--tol: tolerance must be finite and > 0, got {args.tol!r}")
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone (e.g. `| head`); point stdout at devnull so the
+        # interpreter's final flush cannot fail again (Python docs, "Note on
+        # SIGPIPE"), and exit 1 as that note does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VERIFICATION_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,7 @@ The verification subjects follow the derivation chain:
 
 * lemma1 - the bilateral integral of t^m e^(-zt) / (1 - e^(-t)) equals a
   two-term polygamma combination; it is integrated folded at zero, as one
-  half-line integral whose integrand is one call per node;
+  half-line integral at the integrand's own scale, one call per node;
 * lemma2 - that combination equals a power of pi times a derivative of
   cot (the reflection identity, differentiated);
 * lemma3 - the plain trig identity sec^2 x - csc^2 x = -4 cot 2x csc 2x;
@@ -308,8 +308,8 @@ def lemma1_integrand(m: int, z: float) -> Callable[[float], float]:
     Orders 1..3 only, and z strictly inside (0, 1): outside that strip the
     negative-t branch is not integrable.  Far from the origin the value is
     formed through its logarithm so neither factor can overflow on its own.
-    This is the whole-line form; ``verify_lemma1`` integrates the folded
-    one, and the tests hold the two against each other.
+    This is the whole-line form; ``verify_lemma1`` integrates a folded and
+    rescaled one, and the tests hold them against each other.
     """
     _check_lemma1(m, z)
     flip = 1.0 if m % 2 else -1.0  # (-1)^(m+1), from mirroring t -> -t
@@ -344,7 +344,9 @@ def _lemma1_folded(m: int, z: float) -> Callable[[float], float]:
     1 - e^(-t): for m = 3, t^m alone is 0 below t ~ 1e-108, where the pair,
     about 2t^2, is still a normal double.  Where both exponentials are 0
     the value is 0, returned before t^(m-1) could overflow.  Same (m, z)
-    checks as ``lemma1_integrand``.
+    checks as ``lemma1_integrand``.  ``verify_lemma1`` integrates the
+    rescaled ``_lemma1_scaled``; this t-space form is the tests' link
+    between it and ``integrate_bilateral``.
     """
     _check_lemma1(m, z)
     flip = 1.0 if m % 2 else -1.0
@@ -359,6 +361,45 @@ def _lemma1_folded(m: int, z: float) -> Callable[[float], float]:
         return t**power * (t / -math.expm1(-t)) * (near + flip * mirrored)
 
     return folded
+
+
+def _lemma1_scaled(m: int, z: float) -> Callable[[float], float]:
+    """u -> c g(c u), g the folded lemma1 integrand, c = 2 / min(z, 1-z).
+
+    g decays like t^m e^(-lo t), lo = min(z, 1-z), so its mass sits near
+    t ~ 1/lo while exp-sinh centres its nodes at unit scale; in u = t/c
+    the slower exponential is E = e^(-2u).  The faster one is written
+    E (1 + D), D = expm1(-2 rate u), rate = |(1-z) - z| / lo, so the
+    bracket e^(-zt) +- e^(-(1-z)t) is E (2 + D) for odd m and -+E D for
+    even m: the even-order difference never cancels, and at z = 1/2 it is
+    exactly 0.  Forming c z and c (1-z) apart instead would round them
+    separately and lose about 1/|1 - 2z| of the bracket's precision.  c^m
+    is applied last, by multiplication, so no intermediate overflows and
+    nothing raises; where E is 0 the value is 0.
+    """
+    _check_lemma1(m, z)
+    w = 1.0 - z
+    lo = min(z, w)
+    scale = 2.0 / lo
+    rate = abs(w - z) / lo
+    power = m - 1
+    # the bracket is E (base + slope D)
+    if m % 2:
+        base, slope = 2.0, 1.0
+    else:
+        base, slope = 0.0, (-1.0 if z <= 0.5 else 1.0)
+    factor = math.prod((scale,) * m)  # scale**m would raise OverflowError
+    decay = -2.0 * rate
+
+    def scaled(u: float) -> float:
+        e = math.exp(-2.0 * u)
+        if e == 0.0:
+            return 0.0
+        t = scale * u
+        bracket = e * (base + slope * math.expm1(decay * u))
+        return u**power * (t / -math.expm1(-t)) * bracket * factor
+
+    return scaled
 
 
 DEFAULT_LEMMA1_GRID = (0.2, 0.35, 0.5, 0.65, 0.8)
@@ -383,17 +424,18 @@ def verify_lemma1(
     """Quadrature of the lemma1 integral vs. the polygamma side.
 
     The whole-line integral is folded at zero onto one exp-sinh integral
-    over t > 0 of f(t) + f(-t), formed as one closure call per node rather
-    than two calls of ``lemma1_integrand``.  Probes z in (0.1, 0.9) only:
-    toward either edge the integrand decays arbitrarily slowly on one
-    branch and quadrature cost explodes.  Quadrature non-convergence
-    surfaces as an infinite deviation.
+    over t > 0 of f(t) + f(-t), one closure call per node, and taken at
+    the integrand's own scale: in u = min(z, 1-z) t / 2 the slower
+    exponential is e^(-2u) at every z (``_lemma1_scaled``).  At the default
+    ``quad_tol`` that takes at most 105 evaluations for z from 1e-5 to
+    1 - 1e-5.  Quadrature non-convergence surfaces as an infinite
+    deviation.
     """
     sign = 1.0 if m % 2 else -1.0
     points: list[tuple[float, ...]] = []
     deviations: list[float] = []
     for z in z_grid:
-        outcome = integrate_semi_infinite(_lemma1_folded(m, z), 0.0, quad_tol)
+        outcome = integrate_semi_infinite(_lemma1_scaled(m, z), 0.0, quad_tol)
         rhs = specfun.polygamma(m, 1.0 - z) + sign * specfun.polygamma(m, z)
         deviations.append(abs(outcome.value - rhs) if outcome.converged else math.inf)
         points.append((float(m), float(z)))

@@ -141,13 +141,19 @@ def gamma_reflection_defect(z: float) -> float:
 
 
 def digamma(x: float) -> float:
-    """psi(x) = d/dx ln Gamma(x) for finite x > 0."""
+    """psi(x) = d/dx ln Gamma(x) for finite x > 0.
+
+    Below x ~ 5.6e-309, where psi(x) ~ -1/x passes the largest double,
+    OverflowError is raised, as polygamma and math.gamma do.
+    """
     _require_positive(x, "digamma")
     y = x
     shift = 0.0
     while y < _ASYMPTOTIC_START:
         shift += 1.0 / y
         y += 1.0
+    if shift == math.inf:  # 1/x overflowed
+        raise OverflowError(f"digamma({x!r}) is past the largest double")
     r = 1.0 / (y * y)
     series = 0.0
     for d in _DIGAMMA_SERIES:
@@ -162,8 +168,7 @@ def polygamma(m: int, x: float) -> float:
     least 8 + 2m, as the series terms grow like (2k+m-1)!.  One fsum adds
     the shift terms, the leading (m-1)!/y^m and the rest of the series.
     Once |psi^(m)(x)| ~ m!/x^(m+1) passes the largest double, OverflowError
-    is raised, as math.gamma does; for m >= 2 a narrow band of x just above
-    that point, where m! x^(-m-1) overflows but x^(-m-1) does not, gives +-inf.
+    is raised, as math.gamma does.
     """
     _check_order(m, low=1)
     _require_positive(x, "polygamma")
@@ -194,6 +199,8 @@ def _polygamma(m: int, x: float) -> float:
     p = y**-m  # not 1/y**m: y**m raises OverflowError past 1.8e308
     terms += (fact // m) * p, p * (0.5 * fact / y + series * r)
     value = math.fsum(terms)
+    if value == math.inf:  # m! x^(-m-1) overflowed, though x^(-m-1) did not
+        raise OverflowError(f"polygamma({m}, {x!r}) is past the largest double")
     return value if m % 2 else -value
 
 

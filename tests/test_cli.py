@@ -394,6 +394,24 @@ def test_module_entry_point_runs():
     assert payload["trig_form"] == pytest.approx(-2.0 * math.pi**2 / 27.0, rel=1e-12)
 
 
+def test_closed_stdout_exits_without_a_traceback():
+    # `logint table ... | head -2`: the reader leaves after the first line,
+    # while the payload (about 300 kB) is still far larger than a pipe holds
+    src = os.path.dirname(os.path.dirname(logint.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "logint", "table", "--min", "1.1", "--max", "100",
+         "--steps", "2000", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"n,trig_form,")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_VERIFICATION_FAILED
+    assert err == ""  # no BrokenPipeError traceback
+
+
 @pytest.mark.parametrize("module", ["fractions", "dataclasses", "inspect", "json"])
 def test_import_leaves_module_unloaded(module):
     # a cold start pays for no rational arithmetic, no dataclass machinery
@@ -413,6 +431,10 @@ def test_import_leaves_module_unloaded(module):
 EXPONENTS = st.floats(min_value=1.0, max_value=1.7e308, exclude_min=True)
 # any finite --tol > 0 is valid; it only moves the pass/fail verdict
 TOLERANCES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# --quad-tol log-uniform on [1e-16, 1e-4]: near 1e-16 nothing converges, so
+# a non-finite value or deviation reaches the output; lemma1 then runs every
+# level of all its integrals
+QUAD_TOLERANCES = st.floats(min_value=-16.0, max_value=-4.0).map(lambda k: 10.0**k)
 
 
 @st.composite
@@ -428,13 +450,12 @@ def cli_arguments(draw):
                 "--spacing", draw(st.sampled_from(["linear", "log"]))]
     elif command == "verify":
         subject = draw(st.sampled_from(["lemma1", "lemma2", "lemma3", "theorem", "all"]))
-        # 1e-16 can never converge, so a non-finite deviation reaches the
-        # output; lemma1 then runs every level of all its integrals (0.1 s)
-        quad_tol = draw(st.sampled_from(["1e-10", "1e-16"]))
-        args = ["verify", "--subject", subject, "--quad-tol", quad_tol]
+        args = ["verify", "--subject", subject]
     else:
         ns = sorted(draw(st.lists(EXPONENTS, min_size=1, max_size=4, unique=True)))
         args = ["limit", "--n-list", ",".join(map(repr, ns))]
+    if command != "limit" and draw(st.booleans()):
+        args += ["--quad-tol", repr(draw(QUAD_TOLERANCES))]
     if command != "limit" and draw(st.booleans()):
         args += ["--tol", repr(draw(TOLERANCES))]
     return args + ["--format", draw(st.sampled_from(["human", "csv", "json"]))]

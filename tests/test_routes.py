@@ -447,7 +447,7 @@ def test_lemma1_integrand_validation():
 def test_folded_lemma1_rejects_what_the_integrand_rejects(m, z):
     with pytest.raises(ValueError) as expected:
         rt.lemma1_integrand(m, z)
-    for build in (rt._lemma1_folded, lambda m, z: rt.verify_lemma1(m, (z,))):
+    for build in (rt._lemma1_folded, rt._lemma1_scaled, lambda m, z: rt.verify_lemma1(m, (z,))):
         with pytest.raises(ValueError) as got:
             build(m, z)
         assert type(got.value) is type(expected.value)
@@ -491,6 +491,78 @@ def test_folded_lemma1_follows_the_bilateral_integral(m, z, quad_tol):
     assert abs(folded.value - bilateral.value) <= 1e-15 * abs(bilateral.value)
 
 
+def test_scaled_lemma1_integrand_matches_high_precision():
+    # c g(c u), g the folded integrand, in u = t/c with c = 2/min(z, 1-z);
+    # the closure is exact in c, so the reference takes c = 2/lo exactly.
+    # Measured against the scale of the two terms, as for the folded form.
+    # c^m is applied last, so below c^m times the smallest normal double
+    # u^(m-1) is subnormal and no value carries relative precision.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    us = [10.0 ** (k / 4.0) for k in range(-1200, 13)]  # 1e-300 ... 1e3
+    for m in (1, 2, 3):
+        for z in LEMMA1_Z + [0.5 - 1e-9, 0.5 + 1e-9]:
+            g = rt._lemma1_scaled(m, z)
+            lo = min(z, 1.0 - z)
+            c = 2 / mpmath.mpf(lo)
+            floor = sys.float_info.min * (2.0 / lo) ** m
+            w = mpmath.mpf(z)
+            for u in us:
+                t = c * mpmath.mpf(u)
+                plus = t**m * mpmath.exp(-w * t) / -mpmath.expm1(-t)
+                minus = (-t) ** m * mpmath.exp(w * t) / -mpmath.expm1(t)
+                scale = c * (abs(plus) + abs(minus)) + floor
+                assert abs(g(u) - c * (plus + minus)) <= 1e-13 * scale, (m, z, u)
+
+
+def test_scaled_lemma1_integrand_is_zero_far_out():
+    g = rt._lemma1_scaled(3, 0.2)
+    assert g(400.0) == 0.0  # e^(-2u) underflows
+    assert g(1e200) == 0.0  # where u^2 alone would overflow
+    assert math.isfinite(g(300.0))
+
+
+def test_scaled_lemma1_evaluations_are_bounded():
+    # the folded form walked out to t ~ 1/min(z, 1-z): up to 211
+    # evaluations on LEMMA1_Z and 681 at (m, z) = (2, 1e-5).  The counts
+    # are deterministic.
+    for m in (1, 2, 3):
+        for z in LEMMA1_Z + [1e-5, 1e-3, 0.999]:
+            outcome = quadrature.integrate_semi_infinite(rt._lemma1_scaled(m, z), 0.0)
+            assert outcome.converged, (m, z)
+            assert outcome.evaluations <= 105, (m, z, outcome.evaluations)
+
+
+# The folded form claims 1.6e-14 and 2.5e-14 here at every tolerance but is
+# 3.5e-13 off; the scaled form is honest at each.
+@pytest.mark.parametrize("quad_tol", [1e-6, 1e-10, 1e-13])
+@pytest.mark.parametrize("z", [0.44776154022735126, 0.5522724584485516])
+def test_scaled_lemma1_is_honest_where_the_folded_form_is_not(z, quad_tol):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    w = mpmath.mpf(z)
+    ref = mpmath.polygamma(1, 1 - w) + mpmath.polygamma(1, w)
+    outcome = quadrature.integrate_semi_infinite(rt._lemma1_scaled(1, z), 0.0, quad_tol)
+    assert outcome.converged
+    assert abs(outcome.value - ref) <= 10.0 * outcome.error_estimate
+
+
+# Next to the edges the polygamma side passes the largest double; the
+# verifier raises OverflowError from polygamma there and nowhere else, and
+# the integrand itself never raises.
+@pytest.mark.parametrize("z", [1e-30, 1e-80, 1e-120, 1e-200, 1.0 - 1e-16])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_verify_lemma1_overflows_only_in_polygamma(m, z):
+    overflows = {(3, 1e-80), (2, 1e-120), (3, 1e-120), (1, 1e-200), (2, 1e-200), (3, 1e-200)}
+    if (m, z) in overflows:
+        with pytest.raises(OverflowError) as info:
+            rt.verify_lemma1(m, (z,))
+        assert info.traceback[-1].path.name == "specfun.py"
+    else:
+        report = rt.verify_lemma1(m, (z,))
+        assert report.grid == ((float(m), z),)
+
+
 # --------------------------------------------------------------- verifiers
 
 def test_verify_lemma1_passes_default_grid():
@@ -509,11 +581,13 @@ def test_lemma1_center_point_reproduces_pi_squared():
     assert 2.0 * zeta_partial(2.0, 0.5) == pytest.approx(PI2, rel=1e-13)
 
 
-# The lemma1 integral both ways: the whole-line integrand through the
-# bilateral engine, and the folded form verify_lemma1 integrates.
+# The lemma1 integral three ways: the whole-line integrand through the
+# bilateral engine, its t-space fold, and the scaled fold verify_lemma1
+# integrates.
 LEMMA1_PATHS = {
     "bilateral": lambda m, z: integrate_bilateral(rt.lemma1_integrand(m, z)),
     "folded": lambda m, z: quadrature.integrate_semi_infinite(rt._lemma1_folded(m, z), 0.0),
+    "verify": lambda m, z: quadrature.integrate_semi_infinite(rt._lemma1_scaled(m, z), 0.0),
 }
 
 

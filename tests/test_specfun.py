@@ -100,8 +100,11 @@ def test_digamma_matches_high_precision():
         ref = mpmath.digamma(mpmath.mpf(x))
         assert abs(sf.digamma(x) - ref) <= 3e-15 * max(1, abs(ref)), x
     # psi(x) ~ -1/x; at the smallest subnormal that is -2e323, past the
-    # largest double
-    assert sf.digamma(5e-324) == -math.inf
+    # largest double, so it raises as polygamma and math.gamma do
+    for x in (5e-324, 8.50767269562e-312, 5.5e-309):
+        with pytest.raises(OverflowError):
+            sf.digamma(x)
+    assert sf.digamma(5.6e-309) == pytest.approx(-1.0 / 5.6e-309, rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan, math.inf])
@@ -186,7 +189,13 @@ def test_polygamma_bits_are_unchanged(x):
         assert sf.polygamma(m, x) == float.fromhex(value), (m, x)
 
 
-@pytest.mark.parametrize("m, x", [(1, 1e-160), (1, 7.4e-155), (2, 1e-150), (3, 1e-150)])
+@pytest.mark.parametrize(
+    "m, x",
+    # the last three sit in the band where x^(-m-1) is finite but m! times
+    # it is not
+    [(1, 1e-160), (1, 7.4e-155), (2, 1e-150), (3, 1e-150),
+     (2, 1.8e-103), (2, 2.0584081077960078e-103), (12, 2.8738873156950745e-24)],
+)
 def test_polygamma_overflow_raises(m, x):
     # |psi^(m)(x)| ~ m!/x^(m+1) is past the largest double, as math.gamma(1e-320) is
     with pytest.raises(OverflowError):
