@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
+_QUARTER_PI = math.pi / 4.0
+_SQRT_TWO = math.sqrt(2.0)
 
 # Taylor guard for the removable singularity of t/(1 - e^(-t)); four terms
 # keep the relative error under 1e-16 at this radius.
@@ -150,23 +152,20 @@ class EvaluationRow(NamedTuple):
 def closed_form_trig(n: float) -> float:
     """-(pi^2/n^2) cot(pi/n) csc(pi/n), the fully collapsed closed form.
 
-    For n < 2 the angle is written pi - y, y = pi (n-1)/n with n - 1 exact,
-    because pi/n itself rounds next to pi as n -> 1 and sin(pi/n) is lost.
-    Its cosine is taken as sin(pi/2 - y) = sin((pi/2)(2-n)/n), with 2 - n
-    exact, because cos y cancels as y -> pi/2, where I -> 0 at n -> 2.
-    Where n*n overflows (n > 1.3e154) it is -cos x (x / sin x)^2, x = pi/n.
+    cos(pi/n) is taken as sin(pi/2 - pi/n) = -sin((pi/2)(2-n)/n), with
+    2 - n exact for n in [1, 4], because cos cancels as pi/n -> pi/2, where
+    I -> 0 at n -> 2; n = 2 gives exactly 0.0.  For n < 2 the sine is taken
+    at pi - pi/n = pi (n-1)/n, with n - 1 exact, because pi/n itself rounds
+    next to pi as n -> 1 and sin(pi/n) is lost.  Where n*n overflows
+    (n > 1.3e154) it is -cos x (x / sin x)^2, x = pi/n.
     """
     v = _check_n(n)
-    if v < 2.0:
-        s = math.sin(math.pi * ((v - 1.0) / v))
-        c = math.sin(_HALF_PI * ((2.0 - v) / v))
-        return (math.pi * math.pi) / (v * v) * c / (s * s)
-    x = math.pi / v
-    s = math.sin(x)
+    c = math.sin(_HALF_PI * ((2.0 - v) / v))  # -cos(pi/n)
+    s = math.sin(math.pi * ((v - 1.0) / v)) if v < 2.0 else math.sin(math.pi / v)
     if math.isinf(v * v):
-        r = x / s
-        return -math.cos(x) * (r * r)
-    return -(math.pi * math.pi) / (v * v) * math.cos(x) / (s * s)
+        r = (math.pi / v) / s
+        return c * (r * r)
+    return (math.pi * math.pi) / (v * v) * c / (s * s)
 
 
 def closed_form_trigamma(n: float) -> float:
@@ -174,13 +173,20 @@ def closed_form_trigamma(n: float) -> float:
 
     (1/4n^2) [psi'(1/2 - 1/2n) + psi'(1/2 + 1/2n)
               - psi'(1 - 1/2n) - psi'(1/2n)]
-    All four arguments are positive for n > 1.  Does not use quadrature.
-    For n < 2 the first argument is formed as (1/2)(n-1)/n, with n - 1
-    exact, because 1/2 - 1/2n cancels as n -> 1.  Where 4n*n overflows
-    (n > 6.7e153), so does psi'(x) ~ 1/x^2 at x = 1/2n.  There the last
-    term is psi'(1+x) + 1/x^2; divided by 4n^2, psi'(1+x) and the other
-    three O(1) terms vanish, and (1/x^2)/4n^2 is formed as ((1/x)/2n)^2,
-    written 0.5/(x n) so that neither 1/x nor 2n overflows.
+    All four arguments are positive for n > 1.  Uses specfun arithmetic
+    only: no trig and no quadrature.  With h = 1/2n and
+    delta = (1/2)(n-2)/n, the arguments pair up as 1/2 - h = h + delta and
+    1 - h = (1/2 + h) + delta, so the bracket is
+    [psi'(1/2 - h) - psi'(h)] - [psi'(1 - h) - psi'(1/2 + h)], which the
+    paired kernel sums with delta as a factor of every term: it keeps full
+    relative accuracy as n -> 2, where I -> 0, and gives exactly 0.0 at 2.
+    The four arguments are passed as themselves, not as h + delta, which
+    would cancel as n -> 1; for n < 2 the first is formed as (1/2)(n-1)/n,
+    with n - 1 exact, because 1/2 - h cancels there too.  Where 4n*n
+    overflows (n > 6.7e153), so does psi'(x) ~ 1/x^2 at x = h.  There the
+    last term is psi'(1+x) + 1/x^2; divided by 4n^2, psi'(1+x) and the
+    other three O(1) terms vanish, and (1/x^2)/4n^2 is formed as
+    ((1/x)/2n)^2, written 0.5/(x n) so that neither 1/x nor 2n overflows.
     """
     v = _check_n(n)
     half = 0.5 / v
@@ -188,8 +194,8 @@ def closed_form_trigamma(n: float) -> float:
         r = 0.5 / (half * v)
         return -(r * r)
     low = 0.5 * ((v - 1.0) / v) if v < 2.0 else 0.5 - half
-    tg = specfun.trigamma
-    combo = tg(low) + tg(0.5 + half) - tg(1.0 - half) - tg(half)
+    delta = 0.5 * ((v - 2.0) / v)
+    combo = specfun._trigamma_pairs(low, half, 1.0 - half, 0.5 + half, delta)
     return combo / (4.0 * v * v)
 
 
@@ -197,21 +203,24 @@ def intermediate_form(n: float) -> float:
     """(pi^2/4n^2) [sec^2(pi/2n) - csc^2(pi/2n)].
 
     The halfway-collapsed form; the double-angle identity (lemma3 subject)
-    turns it into closed_form_trig exactly.  For n < 2 the angle is written
-    pi/2 - y, y = (pi/2)(n-1)/n, as in closed_form_trig.  Where 4n*n
-    overflows (n > 6.7e153) it is (x / cos x)^2 - (x / sin x)^2, x = pi/2n.
+    turns it into closed_form_trig exactly.  With x = pi/2n, c = cos x and
+    s = sin x, the bracket 1/c^2 - 1/s^2 is taken as (s - c)(s + c)/(sc)^2
+    with s - c = sqrt(2) sin(x - pi/4) = sqrt(2) sin((pi/4)(2-n)/n), 2 - n
+    exact for n in [1, 4], because the bracket cancels at x = pi/4, where
+    I -> 0 at n -> 2; n = 2 gives exactly 0.0.  For n < 2, c and s are taken
+    as sin y and cos y, y = pi/2 - x = (pi/2)(n-1)/n, as in closed_form_trig.
+    The whole is (x/(sc))^2 (s - c)(s + c), which stays finite up to the
+    largest double.
     """
     v = _check_n(n)
+    x = _HALF_PI / v
     if v < 2.0:
         y = _HALF_PI * ((v - 1.0) / v)
         c, s = math.sin(y), math.cos(y)
     else:
-        x = _HALF_PI / v
         c, s = math.cos(x), math.sin(x)
-        if math.isinf(4.0 * v * v):
-            rc, rs = x / c, x / s
-            return rc * rc - rs * rs
-    return (math.pi * math.pi) / (4.0 * v * v) * (1.0 / (c * c) - 1.0 / (s * s))
+    r = x / (s * c)
+    return r * r * (_SQRT_TWO * math.sin(_QUARTER_PI * ((2.0 - v) / v))) * (s + c)
 
 
 def closed_form_gamma_derivative(n: float) -> float:
@@ -220,15 +229,22 @@ def closed_form_gamma_derivative(n: float) -> float:
     With a = 1 - 1/n, b = 1/n and psi = Gamma'/Gamma, the chain rule gives
     -Gamma(a) Gamma(b) [psi(a) - psi(b)] / n^2; the product goes through
     lgamma.  For n < 2, a is formed as (n-1)/n, with n - 1 exact, as in
-    closed_form_trig.  Dividing by n twice, not by n^2, keeps every
-    intermediate finite up to the largest double.  Uses lgamma and digamma
-    only: no quadrature and no polygamma, unlike the trigamma route.
+    closed_form_trig.  Gamma(b) = Gamma(1+b)/b and psi(x) = psi(1+x) - 1/x
+    turn it into
+    [e^(lgamma(a) + lgamma(1+b))/(bn)] [(psi(1+b) - psi(1+a))/n + (1/a - 1/b)/n]
+    with (1/a - 1/b)/n = ((2-n)/n)/(a bn), bn = b*n ~ 1, so neither 1/b
+    nor Gamma(b) ~ n stands alone: every intermediate stays finite up to
+    the largest double, where 1/b overflows, and n = 2, where a = b, gives
+    exactly 0.0.  Uses lgamma and digamma only: no quadrature and none of
+    the trigamma route's code.
     """
     v = _check_n(n)
     b = 1.0 / v
     a = (v - 1.0) / v if v < 2.0 else 1.0 - b
-    p = math.exp(specfun.lgamma(a) + specfun.lgamma(b))
-    return -(p / v) * ((specfun.digamma(a) - specfun.digamma(b)) / v)
+    bn = b * v
+    p = math.exp(specfun.lgamma(a) + specfun.lgamma(1.0 + b)) / bn
+    psi = specfun.digamma(1.0 + b) - specfun.digamma(1.0 + a)
+    return p * (psi / v + ((2.0 - v) / v) / (a * bn))
 
 
 def numeric_I(n: float, quad_tol: float = 1e-10) -> QuadratureOutcome:

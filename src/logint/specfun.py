@@ -5,6 +5,17 @@ upward by recurrence until the asymptotic (de Moivre / Stirling) series in
 Bernoulli numbers applies, then sum that series by Horner's rule.  The
 log-gamma shift multiplies (x+1)(x+2)... together and takes one log of the
 product beside ln x; digamma adds its shift terms 1/y into one running sum.
+
+The trigamma route's private kernel ``_trigamma_pairs`` takes the
+combination [psi'(x1) - psi'(y1)] - [psi'(x2) - psi'(y2)] where both pairs
+differ by the same delta, passed in exactly: for I(n), delta = (1/2)(n-2)/n
+and the pairs are (1/2 - 1/2n, 1/2n) and (1 - 1/2n, 1/2 + 1/2n), the first
+arguments formed as the route forms them, not as y + delta.  It shifts all
+four arguments together in one loop and carries delta as a factor of every
+shift term and every series term (A&S 6.4.12), so the combination keeps
+full relative accuracy as delta -> 0, where I(n) -> 0.  The public
+``trigamma`` is unchanged and no route calls it.
+
 Derivatives of cot are kept exact as integer-coefficient polynomials in
 c = cot x.
 
@@ -88,6 +99,14 @@ _POLYGAMMA_SERIES = tuple(
     )
     for m in range(1, MAX_DERIVATIVE_ORDER + 1)
 )
+
+# psi'(x) ~ 1/x + 1/(2x^2) + sum_k B_2k x^(-2k-1) (A&S 6.4.12): the order-1
+# row above, B_2k itself, read lowest k first by the paired kernel below.
+_TRIGAMMA_SERIES = _POLYGAMMA_SERIES[0][::-1]
+
+# The paired trigamma kernel raises its arguments, all in (0, 1], by these
+# unit steps to at least 10, where the series above is good to ~1e-17.
+_PAIR_SHIFTS = tuple(float(k) for k in range(10))
 
 # Below this |sin x| a double-precision cot carries no information.
 _COT_POLE_GUARD = 1e-12
@@ -202,6 +221,42 @@ def _polygamma(m: int, x: float) -> float:
     if value == math.inf:  # m! x^(-m-1) overflowed, though x^(-m-1) did not
         raise OverflowError(f"polygamma({m}, {x!r}) is past the largest double")
     return value if m % 2 else -value
+
+
+def _trigamma_pairs(x1: float, y1: float, x2: float, y2: float, delta: float) -> float:
+    """[psi'(x1) - psi'(y1)] - [psi'(x2) - psi'(y2)] where x1 - y1 = x2 - y2 = delta.
+
+    For four arguments in (0, 1] and their common difference delta, passed
+    in exactly rather than recovered by subtraction.  Every term carries
+    delta, so nothing cancels as delta -> 0, and delta = 0 gives exactly
+    0.0.  With psi'(x) = psi'(x+1) + 1/x^2, each of ten unit shifts of a
+    pair (x, y) takes 1/y^2 - 1/x^2 = delta (x + y)/(xy)^2 off its psi'
+    difference, formed as (delta/p)((x + y)/p), p = xy, so that no (xy)^2
+    goes subnormal; x + k is formed from x in one rounding.  At the
+    shifted pair (u, v), u, v >= 10, the difference of A&S 6.4.12 is
+    -sum_p c_p w_p with a = 1/u, b = 1/v and w_p = b^p - a^p, which obey
+    w_1 = delta a b, w_2 = (a + b) w_1 and w_(p+2) = b^2 w_p + a^p w_2, so
+    only the odd powers the Bernoulli terms need are formed.
+    """
+    acc = 0.0
+    for k in _PAIR_SHIFTS:
+        u1, v1, u2, v2 = x1 + k, y1 + k, x2 + k, y2 + k
+        p, q = u1 * v1, u2 * v2
+        acc += (delta / q) * ((u2 + v2) / q) - (delta / p) * ((u1 + v1) / p)
+    a1, b1 = 1.0 / (x1 + 10.0), 1.0 / (y1 + 10.0)
+    a2, b2 = 1.0 / (x2 + 10.0), 1.0 / (y2 + 10.0)
+    w1, w2 = delta * a1 * b1, delta * a2 * b2  # w_1 of each pair
+    e1, e2 = (a1 + b1) * w1, (a2 + b2) * w2  # w_2
+    tail = (w2 - w1) + 0.5 * (e2 - e1)
+    aa1, bb1, aa2, bb2 = a1 * a1, b1 * b1, a2 * a2, b2 * b2
+    pa1, pa2 = a1, a2  # a^(2k-1)
+    for c in _TRIGAMMA_SERIES:
+        w1 = bb1 * w1 + pa1 * e1  # w_(2k+1)
+        w2 = bb2 * w2 + pa2 * e2
+        tail += c * (w2 - w1)
+        pa1 *= aa1
+        pa2 *= aa2
+    return acc + tail
 
 
 class _CotPolynomialFields(NamedTuple):

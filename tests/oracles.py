@@ -2,11 +2,13 @@
 
 Everything here deliberately avoids the algorithms used inside the
 package: brute partial sums with a midpoint tail integral, finite
-differences, and stdlib math only.  Oracle accuracy is noted next to
-each helper so tests can budget their tolerances.
+differences, stdlib math, and mpmath at 50 digits.  Oracle accuracy is
+noted next to each helper so tests can budget their tolerances.
 """
 
 import math
+
+import pytest
 
 
 def euler_gamma(n_terms: int = 20_000) -> float:
@@ -39,3 +41,17 @@ def nested_central_diff(f, x: float, h: float, order: int) -> float:
         nested_central_diff(f, x + h, h, order - 1)
         - nested_central_diff(f, x - h, h, order - 1)
     ) / (2.0 * h)
+
+
+def reference_I(n: float):
+    """I(n) = -(pi/n)^2 cot(pi/n) csc(pi/n) as a 50-digit mpmath number.
+
+    Skips the calling test when mpmath is not installed.  The result keeps
+    its 50 digits whatever the caller's working precision, and mpmath
+    rounds each operation once, so form(n) - reference_I(n) is the error
+    of form(n) to within a rounding of the error itself.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x = mpmath.pi / mpmath.mpf(n)
+        return -(x * x) * mpmath.cot(x) / mpmath.sin(x)

@@ -155,6 +155,15 @@ def test_eval_past_n_squared_overflow(capsys):
     assert float(row["trigamma_form"]) == pytest.approx(-1.0, abs=2e-15)
 
 
+@pytest.mark.parametrize("n", ["1.7976931348623153e308", "1.7976931348623157e308"])
+def test_eval_at_the_largest_doubles(n, capsys):
+    # psi(1/n) ~ -n passes the largest double here; route 3 never forms it
+    code, out, err = run_cli(["eval", "--n", n, "--format", "csv"], capsys)
+    assert code == cli.EXIT_OK, err
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert float(row["gamma_derivative_form"]) == pytest.approx(-1.0, abs=1.9e-14)
+
+
 def test_limit_past_n_squared_overflow(capsys):
     code, out, _ = run_cli(["limit", "--n-list", "10,1e155", "--format", "csv"], capsys)
     assert code == cli.EXIT_OK
@@ -428,7 +437,7 @@ def test_import_leaves_module_unloaded(module):
 
 # ------------------------------------------------------- contract property
 
-EXPONENTS = st.floats(min_value=1.0, max_value=1.7e308, exclude_min=True)
+EXPONENTS = st.floats(min_value=1.0, max_value=sys.float_info.max, exclude_min=True)
 # any finite --tol > 0 is valid; it only moves the pass/fail verdict
 TOLERANCES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # --quad-tol log-uniform on [1e-16, 1e-4]: near 1e-16 nothing converges, so
@@ -464,6 +473,10 @@ def cli_arguments(draw):
 @settings(max_examples=40, deadline=None)
 @given(cli_arguments())
 @example(["table", "--min", "1.0000001", "--max", "1.7e308", "--steps", "3", "--format", "json"])
+# the three largest doubles, where psi(1/n) ~ -n passes the largest double
+@example(["eval", "--n", "1.7976931348623153e308", "--format", "csv"])
+@example(["eval", "--n", "1.7976931348623155e308", "--format", "json"])
+@example(["eval", "--n", "1.7976931348623157e308", "--format", "human"])
 @example(["verify", "--subject", "theorem", "--quad-tol", "1e-16", "--format", "json"])
 @example(["verify", "--subject", "lemma1", "--quad-tol", "1e-16", "--format", "json"])
 @example(["verify", "--subject", "all", "--quad-tol", "1e-16", "--tol", "5e-324", "--format", "json"])

@@ -12,9 +12,11 @@ from logint import specfun
 from logint import quadrature
 from logint.quadrature import integrate_bilateral
 
-from oracles import zeta_partial
+from oracles import reference_I, zeta_partial
 
 PI2 = math.pi * math.pi
+# 1/n is below 1/1.8e308 here, so psi(1/n) ~ -n is past the largest double
+LARGEST_DOUBLES = (1.7976931348623153e308, 1.7976931348623155e308, sys.float_info.max)
 
 
 # ---------------------------------------------------------------- exponent
@@ -88,47 +90,60 @@ def test_trig_form_special_values():
     "form", [rt.closed_form_trig, rt.intermediate_form, rt.closed_form_trigamma]
 )
 def test_trig_form_near_one_matches_high_precision(form):
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 50
-
-    def reference(n):
-        x = mpmath.pi / mpmath.mpf(n)
-        return -(mpmath.pi / mpmath.mpf(n)) ** 2 * mpmath.cot(x) / mpmath.sin(x)
-
     # here pi/n rounds next to pi; taken as the angle, it gives relative
     # errors of 0.52, 1.2e-4 and 3e-9 (pi/2n in the sec/csc form likewise),
     # and 1/2 - 1/2n in the trigamma form cancels to 2e-12 and 2.2e-9
     grid = [1.0 + 2.0**-52, 1.0 + 1e-12, 1.0 + 1e-8]
     grid += [1.0 + 2.0 * k / 400.0 for k in range(1, 400)]
     for n in grid:
-        ref = reference(n)
+        ref = reference_I(n)
         err = abs(form(n) - ref) / max(1, abs(ref))
         assert err <= 2e-15, n
 
 
-def test_trig_form_below_two_keeps_relative_accuracy():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 50
+# Every side of n = 2 to one ulp, where I -> 0 and cancellation shows as
+# relative error.  Route 3 is left out: its psi(1+a) - psi(1+b) is not
+# paired and is still 0.19 off relative there, within its max(1, |I|) bound.
+NEAR_TWO_GRID = [2.0 - 2.0**-52, 2.0 - 2.0**-51, 2.0 + 2.0**-51, 2.0 + 2.0**-50]
+NEAR_TWO_GRID += [
+    n
+    for n in (2.0 + sign * 10.0 ** (-k / 8.0) for sign in (-1.0, 1.0) for k in range(1, 128))
+    if n != 2.0  # 2 + 10^(-k/8) rounds to 2 for k >= 126
+]
 
-    def reference(n):
-        x = mpmath.pi / mpmath.mpf(n)
-        return -(mpmath.pi / mpmath.mpf(n)) ** 2 * mpmath.cot(x) / mpmath.sin(x)
 
-    # I -> 0 as n -> 2; cos y at y = pi (n-1)/n -> pi/2 cancelled there and
-    # was 0.62 off (relative) at n = 2 - 2^-52.  Relative to |ref| itself.
-    grid = [2.0 - 2.0**-52, 2.0 - 2.0**-51]
-    grid += [2.0 - 10.0 ** (-k / 8.0) for k in range(1, 128)]
-    for n in grid:
-        ref = reference(n)
-        assert abs(rt.closed_form_trig(n) - ref) <= 2e-15 * abs(ref), n
+@pytest.mark.parametrize(
+    "form", [rt.closed_form_trig, rt.intermediate_form, rt.closed_form_trigamma]
+)
+def test_closed_forms_keep_relative_accuracy_on_both_sides_of_two(form):
+    # each was 0.27 to 0.62 off (relative) within an ulp or two of n = 2
+    # before its cancelling difference was rewritten with n - 2 as a factor
+    # (the trig form's cos y at y = pi (n-1)/n -> pi/2 first, for n < 2)
+    assert form(2.0) == 0.0 and math.copysign(1.0, form(2.0)) == 1.0
+    for n in NEAR_TWO_GRID:
+        ref = reference_I(n)
+        assert abs(form(n) - ref) <= 2e-15 * abs(ref), n
+
+
+def test_trigamma_form_over_its_whole_range():
+    # log-uniform n - 1 up to 6e153, just short of where 4n^2 overflows
+    rng = random.Random(153)
+    grid = [1.0 + 10.0 ** rng.uniform(-12.0, math.log10(6e153)) for _ in range(400)]
+    for n in grid + [6e153, 6.7e153]:
+        ref = reference_I(n)
+        err = abs(rt.closed_form_trigamma(n) - ref) / max(1, abs(ref))
+        assert err <= 2e-15, n
 
 
 def test_trig_form_from_two_up_is_unchanged():
-    # recorded before the n < 2 branch existed; n >= 2 must not move a bit
+    # n >= 2 as recorded before the n < 2 branch existed, except 2, 2.5
+    # and e, re-recorded once cos(pi/n) became -sin((pi/2)(2-n)/n): n = 2
+    # moved from -1.5e-16 to 0, and 2.5 and e by one ulp each, to the
+    # correctly rounded value
     recorded = {
-        2.0: "-0x1.5c60b0d7bef4cp-53",
-        2.5: "-0x1.1439045db186ep-1",
-        math.e: "-0x1.4954a80807a19p-1",
+        2.0: "0x0.0p+0",
+        2.5: "-0x1.1439045db186dp-1",
+        math.e: "-0x1.4954a80807a18p-1",
         10.0: "-0x1.f74829fda5652p-1",
         660.0: "-0x1.ffff814a02c3ep-1",
         1e6: "-0x1.fffffffffc61ep-1",
@@ -138,17 +153,18 @@ def test_trig_form_from_two_up_is_unchanged():
 
 
 def test_intermediate_and_trigamma_forms_from_two_up_are_unchanged():
-    # recorded before their n < 2 branches existed; n >= 2 must not move a
-    # bit.  The trigamma column pins polygamma's shift-then-series rounding;
-    # against the earlier zeta sum, n = 10 and 660 differ by one ulp (660 is
-    # now correctly rounded, 10 one ulp off).
+    # pins the n >= 2 rounding of both forms.  Re-recorded when the sec/csc
+    # bracket became (s - c)(s + c)/(sc)^2 (n = 2 moved from -5.5e-16 to 0;
+    # 2.5, e, 10, 660 and 1e6 by one ulp, none more than 1.25 ulp off) and
+    # when the trigamma form moved to paired differences (2.5, e, 10, 660
+    # and 1e6 by one ulp, none more than 2.25 ulp off).
     recorded = {
-        2.0: ("-0x1.3bd3cc9be45dep-51", "0x0.0p+0"),
-        2.5: ("-0x1.1439045db186ep-1", "-0x1.1439045db186cp-1"),
-        math.e: ("-0x1.4954a80807a1ap-1", "-0x1.4954a80807a17p-1"),
-        10.0: ("-0x1.f74829fda5653p-1", "-0x1.f74829fda5652p-1"),
-        660.0: ("-0x1.ffff814a02c3fp-1", "-0x1.ffff814a02c3fp-1"),
-        1e6: ("-0x1.fffffffffc61dp-1", "-0x1.fffffffffc621p-1"),
+        2.0: ("0x0.0p+0", "0x0.0p+0"),
+        2.5: ("-0x1.1439045db186dp-1", "-0x1.1439045db186dp-1"),
+        math.e: ("-0x1.4954a80807a18p-1", "-0x1.4954a80807a18p-1"),
+        10.0: ("-0x1.f74829fda5651p-1", "-0x1.f74829fda5651p-1"),
+        660.0: ("-0x1.ffff814a02c40p-1", "-0x1.ffff814a02c3ep-1"),
+        1e6: ("-0x1.fffffffffc621p-1", "-0x1.fffffffffc622p-1"),
     }
     for n, (intermediate, trigamma) in recorded.items():
         assert rt.intermediate_form(n) == float.fromhex(intermediate), n
@@ -160,10 +176,7 @@ def test_intermediate_and_trigamma_forms_from_two_up_are_unchanged():
 )
 @pytest.mark.parametrize("n", [1e154, 1.3e154, 1.35e154, 1e155, 1e200, 1e300, 1.7e308])
 def test_trig_forms_past_n_squared_overflow_match_high_precision(form, n):
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 50
-    x = mpmath.pi / mpmath.mpf(n)
-    ref = -(x**2) * mpmath.cot(x) / mpmath.sin(x)
+    ref = reference_I(n)
     assert abs(form(n) - ref) <= 2e-15 * max(1, abs(ref))
 
 
@@ -219,20 +232,15 @@ def test_gamma_derivative_near_zero_at_two():
 
 
 def test_gamma_derivative_matches_high_precision():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-
-    def reference(n):
-        x = mpmath.pi / mpmath.mpf(n)
-        return -(mpmath.pi / mpmath.mpf(n)) ** 2 * mpmath.cot(x) / mpmath.sin(x)
-
-    # n - 1 down to one ulp, where |I| ~ 2e31, and n past 1.3e154, where
-    # n*n overflows
+    # n - 1 down to one ulp, where |I| ~ 2e31, n past 1.3e154, where n*n
+    # overflows, and the three largest doubles, where 1/n is below
+    # 1/1.8e308 and psi(1/n) ~ -n overflows
     grid = (1.0000001, 1.0 + 2.0**-52, 1.0 + 1e-12, 1.005, 1e6, 1e155, 1e300, 1.7e308)
+    grid += LARGEST_DOUBLES
     for n in grid:
-        ref = reference(n)
+        ref = reference_I(n)
         err = abs(rt.closed_form_gamma_derivative(n) - ref) / max(1, abs(ref))
-        assert err <= 1e-13, n
+        assert err <= 2e-14, n
 
 
 def test_gamma_derivative_never_calls_quadrature(monkeypatch):
@@ -254,6 +262,13 @@ def test_gamma_derivative_never_calls_quadrature(monkeypatch):
     # nor the polygamma code behind the trigamma route (both branches)
     for name in ("polygamma", "trigamma"):
         monkeypatch.setattr(specfun, name, polygamma)
+    rt.closed_form_gamma_derivative(1.5)
+    rt.closed_form_gamma_derivative(3.0)
+
+    def pairs(*args, **kwargs):
+        raise AssertionError("route 3 must not share route 2's paired kernel")
+
+    monkeypatch.setattr(specfun, "_trigamma_pairs", pairs)
     rt.closed_form_gamma_derivative(1.5)
     rt.closed_form_gamma_derivative(3.0)
 
@@ -314,22 +329,15 @@ NEAR_TWO = [1.992158118610299, 2.0016026626202255, 1.9929471004091046]
 COARSE = [1.1457761249395162, 1.803973458157348]
 
 
-def _trig_reference(mpmath, n):
-    x = mpmath.pi / mpmath.mpf(n)
-    return -(x**2) * mpmath.cot(x) / mpmath.sin(x)
-
-
 @pytest.mark.parametrize("quad_tol", [1e-4, 1e-5, 1e-8, 1e-10, 1e-12, 1e-14])
 def test_numeric_error_estimate_is_honest_at_every_tolerance(quad_tol):
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
     rng = random.Random(20260)
     exponents = [1.0 + 10.0 ** rng.uniform(-3.0, 4.0) for _ in range(200)]
     for n in exponents + NEAR_TWO + COARSE:
         outcome = rt.numeric_I(n, quad_tol)
         if not outcome.converged:
             continue
-        ref = _trig_reference(mpmath, n)
+        ref = reference_I(n)
         assert abs(outcome.value - ref) <= 10.0 * outcome.error_estimate, n
 
 
@@ -341,11 +349,9 @@ def test_numeric_error_estimate_is_honest_at_every_tolerance(quad_tol):
     [(1.0137709956730034, 1e-4), (1.0559971604778275, 1e-4), (1.2936014801148277, 1e-6)],
 )
 def test_numeric_error_estimate_is_honest_next_to_one(n, quad_tol):
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
     outcome = rt.numeric_I(n, quad_tol)
     assert outcome.converged
-    assert abs(outcome.value - _trig_reference(mpmath, n)) <= 10.0 * outcome.error_estimate
+    assert abs(outcome.value - reference_I(n)) <= 10.0 * outcome.error_estimate
 
 
 def test_numeric_evaluations_are_bounded_at_every_scale():
