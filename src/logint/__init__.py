@@ -7,75 +7,11 @@ the identity chain behind the closed form is re-executed numerically by
 the verify_* procedures.
 """
 
-from .specfun import (
-    DomainError,
-    UnsupportedOrderError,
-    MAX_DERIVATIVE_ORDER,
-    CotPolynomial,
-    lgamma,
-    gamma_reflection_defect,
-    digamma,
-    polygamma,
-    trigamma,
-    cot_derivative_poly,
-    cot_derivative,
-)
-from .quadrature import (
-    QuadratureOutcome,
-    integrate_finite,
-    integrate_semi_infinite,
-    integrate_bilateral,
-)
-from .routes import (
-    Subject,
-    VerificationReport,
-    EvaluationRow,
-    closed_form_trig,
-    closed_form_trigamma,
-    closed_form_gamma_derivative,
-    intermediate_form,
-    numeric_I,
-    evaluate_all_routes,
-    lemma1_integrand,
-    verify_lemma1,
-    verify_lemma2,
-    verify_lemma3,
-    verify_theorem,
-    limit_probe,
-)
+from . import quadrature, routes, specfun
+from .specfun import *
+from .quadrature import *
+from .routes import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError",
-    "UnsupportedOrderError",
-    "MAX_DERIVATIVE_ORDER",
-    "CotPolynomial",
-    "lgamma",
-    "gamma_reflection_defect",
-    "digamma",
-    "polygamma",
-    "trigamma",
-    "cot_derivative_poly",
-    "cot_derivative",
-    "QuadratureOutcome",
-    "integrate_finite",
-    "integrate_semi_infinite",
-    "integrate_bilateral",
-    "Subject",
-    "VerificationReport",
-    "EvaluationRow",
-    "closed_form_trig",
-    "closed_form_trigamma",
-    "closed_form_gamma_derivative",
-    "intermediate_form",
-    "numeric_I",
-    "evaluate_all_routes",
-    "lemma1_integrand",
-    "verify_lemma1",
-    "verify_lemma2",
-    "verify_lemma3",
-    "verify_theorem",
-    "limit_probe",
-    "__version__",
-]
+__all__ = [*specfun.__all__, *quadrature.__all__, *routes.__all__, "__version__"]

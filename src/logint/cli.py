@@ -128,8 +128,9 @@ def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps!r}")
     if spacing == "log":
-        ratio = n_max / n_min
-        return [n_min * ratio ** (i / (steps - 1)) for i in range(steps)]
+        ratio, last = n_max / n_min, steps - 1
+        # n_min * ratio**1.0 can round past n_max, even to inf; end on n_max
+        return [n_min * ratio ** (i / last) for i in range(last)] + [n_max]
     span, last = n_max - n_min, steps - 1
     # where span * i overflows, scale first; elsewhere keep the pinned grid
     return [n_min + (span * i / last if math.isfinite(span * i) else span * (i / last))
@@ -161,25 +162,17 @@ def _run_table(args: argparse.Namespace) -> int:
 def _collect_reports(
     subject: str, quad_tol: float, tol: float | None
 ) -> list[routes.VerificationReport]:
+    given = {} if tol is None else {"tol": tol}  # else each verifier's default
     reports = []
     if subject in ("lemma1", "all"):
-        lemma1_tol = routes.DEFAULT_LEMMA1_TOL if tol is None else tol
         for m in (1, 2, 3):
-            reports.append(routes.verify_lemma1(m, quad_tol=quad_tol, tol=lemma1_tol))
+            reports.append(routes.verify_lemma1(m, quad_tol=quad_tol, **given))
     if subject in ("lemma2", "all"):
-        reports.append(
-            routes.verify_lemma2(tol=routes.DEFAULT_LEMMA2_TOL if tol is None else tol)
-        )
+        reports.append(routes.verify_lemma2(**given))
     if subject in ("lemma3", "all"):
-        reports.append(
-            routes.verify_lemma3(tol=routes.DEFAULT_LEMMA3_TOL if tol is None else tol)
-        )
+        reports.append(routes.verify_lemma3(**given))
     if subject in ("theorem", "all"):
-        reports.append(
-            routes.verify_theorem(
-                quad_tol=quad_tol, tol=routes.DEFAULT_THEOREM_TOL if tol is None else tol
-            )
-        )
+        reports.append(routes.verify_theorem(quad_tol=quad_tol, **given))
     return reports
 
 

@@ -350,35 +350,6 @@ def _one_sided(m: int, w: float, u: float) -> float:
     return u**m * math.exp(-w * u) / (1.0 - math.exp(-u))
 
 
-def _lemma1_folded(m: int, z: float) -> Callable[[float], float]:
-    """t -> f(t) + f(-t) on t > 0, f the lemma1 integrand, in one call.
-
-    With f(-t) mirrored as in ``lemma1_integrand`` the pair is
-    t^(m-1) (t / (1 - e^(-t))) (e^(-zt) + (-1)^(m+1) e^(-(1-z)t)).
-    expm1 keeps t / (1 - e^(-t)) accurate at every t > 0, so no series
-    branch is needed.  t^(m-1) times that ratio, not t^m divided by
-    1 - e^(-t): for m = 3, t^m alone is 0 below t ~ 1e-108, where the pair,
-    about 2t^2, is still a normal double.  Where both exponentials are 0
-    the value is 0, returned before t^(m-1) could overflow.  Same (m, z)
-    checks as ``lemma1_integrand``.  ``verify_lemma1`` integrates the
-    rescaled ``_lemma1_scaled``; this t-space form is the tests' link
-    between it and ``integrate_bilateral``.
-    """
-    _check_lemma1(m, z)
-    flip = 1.0 if m % 2 else -1.0
-    power = m - 1
-    w = 1.0 - z
-
-    def folded(t: float) -> float:
-        near = math.exp(-z * t)
-        mirrored = math.exp(-w * t)
-        if near == 0.0 and mirrored == 0.0:
-            return 0.0
-        return t**power * (t / -math.expm1(-t)) * (near + flip * mirrored)
-
-    return folded
-
-
 def _lemma1_scaled(m: int, z: float) -> Callable[[float], float]:
     """u -> c g(c u), g the folded lemma1 integrand, c = 2 / min(z, 1-z).
 
@@ -471,7 +442,7 @@ def verify_lemma2(
     Deviations are relative to the right side, floored at magnitude 1 so
     the symmetric zero at z = 1/2 (even m) is not compared as 0/0.
     """
-    if not isinstance(m_max, int) or not (1 <= m_max <= 3):
+    if not isinstance(m_max, int) or isinstance(m_max, bool) or not (1 <= m_max <= 3):
         raise specfun.UnsupportedOrderError(f"m_max must be 1, 2 or 3, got {m_max!r}")
     points: list[tuple[float, ...]] = []
     deviations: list[float] = []

@@ -14,7 +14,8 @@ arguments formed as the route forms them, not as y + delta.  It shifts all
 four arguments together in one loop and carries delta as a factor of every
 shift term and every series term (A&S 6.4.12), so the combination keeps
 full relative accuracy as delta -> 0, where I(n) -> 0.  The public
-``trigamma`` is unchanged and no route calls it.
+``trigamma`` is polygamma(1, x) with its own domain message; no route
+calls it.
 
 Derivatives of cot are kept exact as integer-coefficient polynomials in
 c = cot x.
@@ -191,20 +192,6 @@ def polygamma(m: int, x: float) -> float:
     """
     _check_order(m, low=1)
     _require_positive(x, "polygamma")
-    return _polygamma(m, x)
-
-
-def trigamma(x: float) -> float:
-    """psi'(x), bit for bit polygamma(1, x) without its order check.
-
-    Raises OverflowError below x ~ 7.5e-155, where 1/x^2 passes the largest double.
-    """
-    _require_positive(x, "trigamma")
-    return _polygamma(1, x)
-
-
-def _polygamma(m: int, x: float) -> float:
-    # polygamma's body; the caller has checked m and x
     fact = math.factorial(m)
     terms, y = [], x
     append, power, start = terms.append, -(m + 1), 8.0 + 2 * m
@@ -221,6 +208,15 @@ def _polygamma(m: int, x: float) -> float:
     if value == math.inf:  # m! x^(-m-1) overflowed, though x^(-m-1) did not
         raise OverflowError(f"polygamma({m}, {x!r}) is past the largest double")
     return value if m % 2 else -value
+
+
+def trigamma(x: float) -> float:
+    """psi'(x), bit for bit polygamma(1, x).
+
+    Raises OverflowError below x ~ 7.5e-155, where 1/x^2 passes the largest double.
+    """
+    _require_positive(x, "trigamma")
+    return polygamma(1, x)
 
 
 def _trigamma_pairs(x1: float, y1: float, x2: float, y2: float, delta: float) -> float:

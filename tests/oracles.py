@@ -1,14 +1,22 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here deliberately avoids the algorithms used inside the
-package: brute partial sums with a midpoint tail integral, finite
-differences, stdlib math, and mpmath at 50 digits.  Oracle accuracy is
-noted next to each helper so tests can budget their tolerances.
+Everything here but ``lemma1_folded`` deliberately avoids the algorithms
+used inside the package: brute partial sums with a midpoint tail integral,
+finite differences, stdlib math, and mpmath at 50 digits.  Oracle accuracy
+is noted next to each helper so tests can budget their tolerances.
+
+``lemma1_folded`` is the stated exception: the lemma1 integrand folded at
+zero in t-space, a link between the bilateral engine and the rescaled fold
+that ``verify_lemma1`` integrates.  It shares the package's argument checks
+and is itself measured against mpmath in the tests.
 """
 
 import math
+from typing import Callable
 
 import pytest
+
+from logint.routes import _check_lemma1
 
 
 def euler_gamma(n_terms: int = 20_000) -> float:
@@ -55,3 +63,32 @@ def reference_I(n: float):
     with mpmath.workdps(50):
         x = mpmath.pi / mpmath.mpf(n)
         return -(x * x) * mpmath.cot(x) / mpmath.sin(x)
+
+
+def lemma1_folded(m: int, z: float) -> Callable[[float], float]:
+    """t -> f(t) + f(-t) on t > 0, f the lemma1 integrand, in one call.
+
+    With f(-t) mirrored as in ``lemma1_integrand`` the pair is
+    t^(m-1) (t / (1 - e^(-t))) (e^(-zt) + (-1)^(m+1) e^(-(1-z)t)).
+    expm1 keeps t / (1 - e^(-t)) accurate at every t > 0, so no series
+    branch is needed.  t^(m-1) times that ratio, not t^m divided by
+    1 - e^(-t): for m = 3, t^m alone is 0 below t ~ 1e-108, where the pair,
+    about 2t^2, is still a normal double.  Where both exponentials are 0
+    the value is 0, returned before t^(m-1) could overflow.  Same (m, z)
+    checks as ``lemma1_integrand``.  Integrated by exp-sinh it agrees with
+    ``integrate_bilateral`` to 1e-15, but at m = 1, z = 0.4478 and 0.5523
+    it claims an error of 1.6e-14 and 2.5e-14 and is 3.5e-13 off.
+    """
+    _check_lemma1(m, z)
+    flip = 1.0 if m % 2 else -1.0
+    power = m - 1
+    w = 1.0 - z
+
+    def folded(t: float) -> float:
+        near = math.exp(-z * t)
+        mirrored = math.exp(-w * t)
+        if near == 0.0 and mirrored == 0.0:
+            return 0.0
+        return t**power * (t / -math.expm1(-t)) * (near + flip * mirrored)
+
+    return folded

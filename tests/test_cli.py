@@ -117,6 +117,28 @@ def test_table_linear_grid_is_unchanged_where_it_never_overflowed(n_min, n_max, 
     assert cli._grid(n_min, n_max, steps, "linear") == pinned
 
 
+def test_table_log_grid_ends_on_max(capsys):
+    # n_min * ratio**1.0 rounded past the largest double here, to inf
+    args = ["table", "--min", "1.5", "--max", "1.7976931348623157e308", "--steps", "2",
+            "--spacing", "log", "--format", "csv"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [float(row["n"]) for row in rows] == [1.5, sys.float_info.max]
+    for key in ("trig_form", "trigamma_form", "gamma_derivative_form", "quadrature_value"):
+        assert float(rows[-1][key]) == pytest.approx(-1.0, abs=1e-14), key
+
+
+@pytest.mark.parametrize(
+    "n_min, n_max, steps", [(1.5, 96.0, 5), (1.1, 1e300, 4), (1.01, 1e4, 200), (2.0, 3.0, 7)]
+)
+def test_table_log_grid_keeps_its_interior_and_ends_on_max(n_min, n_max, steps):
+    grid = cli._grid(n_min, n_max, steps, "log")
+    ratio = n_max / n_min
+    assert grid[:-1] == [n_min * ratio ** (i / (steps - 1)) for i in range(steps - 1)]
+    assert grid[-1] == n_max
+
+
 def test_table_bad_ranges(capsys):
     assert run_cli(["table", "--min", "1", "--max", "4", "--steps", "3"], capsys)[0] == cli.EXIT_USAGE
     assert run_cli(["table", "--min", "3", "--max", "2", "--steps", "3"], capsys)[0] == cli.EXIT_USAGE
@@ -248,6 +270,25 @@ def test_verify_json_schema(capsys):
     assert report["subject"] == "theorem"
     assert report["pass"] is True
     assert isinstance(report["worst_point"], list)
+
+
+DEFAULT_TOLS = {
+    "lemma1": routes.DEFAULT_LEMMA1_TOL,
+    "lemma2": routes.DEFAULT_LEMMA2_TOL,
+    "lemma3": routes.DEFAULT_LEMMA3_TOL,
+    "theorem": routes.DEFAULT_THEOREM_TOL,
+}
+
+
+@pytest.mark.parametrize("subject", ["lemma1", "lemma2", "lemma3", "theorem", "all"])
+def test_verify_tolerance_is_each_verifiers_default_or_the_given_tol(subject, capsys):
+    _, out, _ = run_cli(["verify", "--subject", subject, "--format", "json"], capsys)
+    reports = json.loads(out)
+    assert reports and all(r["tolerance"] == DEFAULT_TOLS[r["subject"]] for r in reports)
+    _, out, _ = run_cli(
+        ["verify", "--subject", subject, "--tol", "1e-3", "--format", "json"], capsys
+    )
+    assert [r["tolerance"] for r in json.loads(out)] == [1e-3] * len(reports)
 
 
 def test_verify_all_json_has_six_reports(capsys):
@@ -473,6 +514,8 @@ def cli_arguments(draw):
 @settings(max_examples=40, deadline=None)
 @given(cli_arguments())
 @example(["table", "--min", "1.0000001", "--max", "1.7e308", "--steps", "3", "--format", "json"])
+@example(["table", "--min", "1.5", "--max", "1.7976931348623157e308", "--steps", "2",
+          "--spacing", "log", "--format", "csv"])
 # the three largest doubles, where psi(1/n) ~ -n passes the largest double
 @example(["eval", "--n", "1.7976931348623153e308", "--format", "csv"])
 @example(["eval", "--n", "1.7976931348623155e308", "--format", "json"])

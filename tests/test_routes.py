@@ -12,7 +12,7 @@ from logint import specfun
 from logint import quadrature
 from logint.quadrature import integrate_bilateral
 
-from oracles import reference_I, zeta_partial
+from oracles import lemma1_folded, reference_I, zeta_partial
 
 PI2 = math.pi * math.pi
 # 1/n is below 1/1.8e308 here, so psi(1/n) ~ -n is past the largest double
@@ -429,7 +429,7 @@ def test_lemma1_integrand_survives_extreme_arguments():
     assert f(-1e6) == 0.0
     assert math.isfinite(f(500.0))
     assert math.isfinite(f(-500.0))
-    g = rt._lemma1_folded(3, 0.2)
+    g = lemma1_folded(3, 0.2)
     assert g(1e6) == 0.0
     assert g(1e200) == 0.0  # where t^2 alone would overflow
     assert math.isfinite(g(500.0))
@@ -453,7 +453,7 @@ def test_lemma1_integrand_validation():
 def test_folded_lemma1_rejects_what_the_integrand_rejects(m, z):
     with pytest.raises(ValueError) as expected:
         rt.lemma1_integrand(m, z)
-    for build in (rt._lemma1_folded, rt._lemma1_scaled, lambda m, z: rt.verify_lemma1(m, (z,))):
+    for build in (lemma1_folded, rt._lemma1_scaled, lambda m, z: rt.verify_lemma1(m, (z,))):
         with pytest.raises(ValueError) as got:
             build(m, z)
         assert type(got.value) is type(expected.value)
@@ -474,7 +474,7 @@ def test_folded_lemma1_integrand_matches_high_precision():
     ts = [10.0 ** (k / 4.0) for k in range(-1200, 13)]  # 1e-300 ... 1e3
     for m in (1, 2, 3):
         for z in (0.12, 0.35, 0.5, 0.65, 0.88):
-            g = rt._lemma1_folded(m, z)
+            g = lemma1_folded(m, z)
             w = mpmath.mpf(z)
             for t in ts:
                 u = mpmath.mpf(t)
@@ -491,7 +491,7 @@ def test_folded_lemma1_follows_the_bilateral_integral(m, z, quad_tol):
     # the bilateral engine folds f(t) + f(-t) too, at the same nodes; it
     # counts two calls of f per node where the folded form makes one
     bilateral = integrate_bilateral(rt.lemma1_integrand(m, z), quad_tol)
-    folded = quadrature.integrate_semi_infinite(rt._lemma1_folded(m, z), 0.0, quad_tol)
+    folded = quadrature.integrate_semi_infinite(lemma1_folded(m, z), 0.0, quad_tol)
     assert bilateral.evaluations == 2 * folded.evaluations
     assert bilateral.converged == folded.converged
     assert abs(folded.value - bilateral.value) <= 1e-15 * abs(bilateral.value)
@@ -592,7 +592,7 @@ def test_lemma1_center_point_reproduces_pi_squared():
 # integrates.
 LEMMA1_PATHS = {
     "bilateral": lambda m, z: integrate_bilateral(rt.lemma1_integrand(m, z)),
-    "folded": lambda m, z: quadrature.integrate_semi_infinite(rt._lemma1_folded(m, z), 0.0),
+    "folded": lambda m, z: quadrature.integrate_semi_infinite(lemma1_folded(m, z), 0.0),
     "verify": lambda m, z: quadrature.integrate_semi_infinite(rt._lemma1_scaled(m, z), 0.0),
 }
 
@@ -629,6 +629,12 @@ def test_verify_lemma2_passes_and_matches_cosecant_form():
 def test_verify_lemma2_rejects_grid_outside_strip():
     with pytest.raises(ValueError):
         rt.verify_lemma2(z_grid=(0.01, 0.5))
+
+
+@pytest.mark.parametrize("m_max", [0, 4, 2.0, True])
+def test_verify_lemma2_rejects_an_order_other_than_1_2_or_3(m_max):
+    with pytest.raises(specfun.UnsupportedOrderError, match="m_max must be 1, 2 or 3"):
+        rt.verify_lemma2(m_max)
 
 
 def test_verify_lemma3_passes_and_pinpoints():

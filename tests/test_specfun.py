@@ -231,6 +231,12 @@ def test_polygamma_domain():
         sf.polygamma(3, -2.0)
 
 
+@pytest.mark.parametrize("x", [-1.0, 0.0, math.inf, math.nan])
+def test_trigamma_domain_error_names_trigamma(x):
+    with pytest.raises(sf.DomainError, match="^trigamma requires"):
+        sf.trigamma(x)
+
+
 def test_polygamma_consistent_with_finite_difference():
     # psi^(m) should be the derivative of psi^(m-1)
     for m, x in [(1, 0.5), (1, 1.5), (1, 3.0), (2, 0.5), (2, 1.5), (2, 3.0)]:
