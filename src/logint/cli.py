@@ -132,9 +132,10 @@ def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
         # n_min * ratio**1.0 can round past n_max, even to inf; end on n_max
         return [n_min * ratio ** (i / last) for i in range(last)] + [n_max]
     span, last = n_max - n_min, steps - 1
-    # where span * i overflows, scale first; elsewhere keep the pinned grid
+    # where span * i overflows, scale first; elsewhere keep the pinned grid.
+    # n_min + span can round off n_max by an ulp; end on n_max
     return [n_min + (span * i / last if math.isfinite(span * i) else span * (i / last))
-            for i in range(steps)]
+            for i in range(last)] + [n_max]
 
 
 def _run_table(args: argparse.Namespace) -> int:

@@ -228,23 +228,26 @@ def closed_form_gamma_derivative(n: float) -> float:
 
     With a = 1 - 1/n, b = 1/n and psi = Gamma'/Gamma, the chain rule gives
     -Gamma(a) Gamma(b) [psi(a) - psi(b)] / n^2; the product goes through
-    lgamma.  For n < 2, a is formed as (n-1)/n, with n - 1 exact, as in
+    its log.  For n < 2, a is formed as (n-1)/n, with n - 1 exact, as in
     closed_form_trig.  Gamma(b) = Gamma(1+b)/b and psi(x) = psi(1+x) - 1/x
     turn it into
     [e^(lgamma(a) + lgamma(1+b))/(bn)] [(psi(1+b) - psi(1+a))/n + (1/a - 1/b)/n]
     with (1/a - 1/b)/n = ((2-n)/n)/(a bn), bn = b*n ~ 1, so neither 1/b
     nor Gamma(b) ~ n stands alone: every intermediate stays finite up to
     the largest double, where 1/b overflows, and n = 2, where a = b, gives
-    exactly 0.0.  Uses lgamma and digamma only: no quadrature and none of
-    the trigamma route's code.
+    exactly 0.0.  specfun's paired kernel takes lgamma(a) + lgamma(1+b) and
+    psi(1+b) - psi(1+a) in one shift loop, with a - b = (n-2)/n passed in
+    exactly as a factor of every digamma term, so the bracket keeps full
+    relative accuracy as n -> 2, where I -> 0.  Uses that kernel and exp
+    only: no quadrature and none of the trigamma route's code.
     """
     v = _check_n(n)
     b = 1.0 / v
     a = (v - 1.0) / v if v < 2.0 else 1.0 - b
     bn = b * v
-    p = math.exp(specfun.lgamma(a) + specfun.lgamma(1.0 + b)) / bn
-    psi = specfun.digamma(1.0 + b) - specfun.digamma(1.0 + a)
-    return p * (psi / v + ((2.0 - v) / v) / (a * bn))
+    c = (2.0 - v) / v  # b - a, with 2 - n exact; +0.0 at n = 2 keeps I(2) = +0.0
+    lg, psi = specfun._gamma_pairs(a, b, -c)
+    return (math.exp(lg) / bn) * (psi / v + c / (a * bn))
 
 
 def numeric_I(n: float, quad_tol: float = 1e-10) -> QuadratureOutcome:

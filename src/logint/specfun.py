@@ -17,6 +17,14 @@ full relative accuracy as delta -> 0, where I(n) -> 0.  The public
 ``trigamma`` is polygamma(1, x) with its own domain message; no route
 calls it.
 
+The gamma-derivative route's private kernel ``_gamma_pairs`` takes
+lgamma(a) + lgamma(1+b) and psi(1+b) - psi(1+a) for a = 1 - 1/n, b = 1/n
+and delta = a - b = (n-2)/n, again passed in exactly.  One loop shifts a
+and b together to a + 12 and b + 12, feeding both log-gamma shift products
+and the digamma shift sum, and the digamma difference carries delta as a
+factor of every term (A&S 6.1.40, 6.3.18), so it too keeps full relative
+accuracy as n -> 2.  No route calls the public ``lgamma`` or ``digamma``.
+
 Derivatives of cot are kept exact as integer-coefficient polynomials in
 c = cot x.
 
@@ -108,6 +116,11 @@ _TRIGAMMA_SERIES = _POLYGAMMA_SERIES[0][::-1]
 # The paired trigamma kernel raises its arguments, all in (0, 1], by these
 # unit steps to at least 10, where the series above is good to ~1e-17.
 _PAIR_SHIFTS = tuple(float(k) for k in range(10))
+
+# The paired gamma kernel shifts a, b in (0, 1] by k = 1..11 to a + 12 and
+# b + 12, as lgamma and digamma do, and reads the digamma series lowest k first.
+_GAMMA_SHIFTS = tuple(float(k) for k in range(1, 12))
+_DIGAMMA_PAIR_SERIES = _DIGAMMA_SERIES[::-1]
 
 # Below this |sin x| a double-precision cot carries no information.
 _COT_POLE_GUARD = 1e-12
@@ -253,6 +266,54 @@ def _trigamma_pairs(x1: float, y1: float, x2: float, y2: float, delta: float) ->
         pa1 *= aa1
         pa2 *= aa2
     return acc + tail
+
+
+def _gamma_pairs(a: float, b: float, delta: float) -> tuple[float, float]:
+    """(lgamma(a) + lgamma(1+b), psi(1+b) - psi(1+a)) where a - b = delta.
+
+    For a, b in (0, 1] and their difference delta, passed in exactly rather
+    than recovered by subtraction.  One loop forms a + k and b + k, k = 1..11,
+    in one rounding each and feeds both log-gamma shift products and the
+    digamma shift sum: psi(1+b) - psi(1+a) loses
+    1/(b+k) - 1/(a+k) = delta/((a+k)(b+k)) per step, so the sum is taken
+    of 1/((a+k)(b+k)) and multiplied by delta once.  ln a stays apart, so
+    that a tiny a loses nothing, and each product is logged on its own:
+    a single log of the product of every (a+k)(b+k) measured less accurate.
+    At u = a + 12, v = b + 12 the two
+    Stirling series are summed, and the digamma difference of A&S 6.3.18 is
+    -log1p(delta/v) - w_1/2 - sum_k d_k w_2k with w_p = v^-p - u^-p, which
+    obey w_1 = delta/(uv), w_2 = (1/u + 1/v) w_1 and
+    w_(p+2) = v^-2 w_p + u^-p w_2, as in ``_trigamma_pairs``.  Every
+    digamma term carries delta, so nothing cancels as delta -> 0, and
+    delta = 0 gives a zero difference.
+    """
+    pa = pb = 1.0
+    s = 0.0
+    for k in _GAMMA_SHIFTS:
+        ak, bk = a + k, b + k
+        pa *= ak
+        pb *= bk
+        s += 1.0 / (ak * bk)
+    u, v = a + _ASYMPTOTIC_START, b + _ASYMPTOTIC_START
+    iu, iv = 1.0 / u, 1.0 / v
+    ru, rv = iu * iu, iv * iv
+    su = sv = 0.0
+    for c in _LGAMMA_SERIES:
+        su = su * ru + c
+        sv = sv * rv + c
+    # lgamma(1+a) and lgamma(1+b), near 0 as a or b nears 0 or 1: each
+    # product's log comes off (x - 1/2) ln x first, before -x and the constants
+    lu = ((u - 0.5) * math.log(u) - math.log(pa)) - u + _HALF_LN_TWO_PI + su * iu
+    lv = ((v - 0.5) * math.log(v) - math.log(pb)) - v + _HALF_LN_TWO_PI + sv * iv
+    lg = (lu + lv) - math.log(a)
+    w1 = delta * iu * iv
+    w2 = (iu + iv) * w1
+    w, pu, tail = w2, 1.0, 0.0  # w_2k and u^-(2k-2)
+    for d in _DIGAMMA_PAIR_SERIES:
+        tail += d * w
+        pu *= ru
+        w = rv * w + pu * w2
+    return lg, -delta * s - math.log1p(delta / v) - 0.5 * w1 - tail
 
 
 class _CotPolynomialFields(NamedTuple):

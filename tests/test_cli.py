@@ -117,6 +117,14 @@ def test_table_linear_grid_is_unchanged_where_it_never_overflowed(n_min, n_max, 
     assert cli._grid(n_min, n_max, steps, "linear") == pinned
 
 
+def test_table_linear_grid_ends_on_max():
+    # n_min + span * 6 / 6 rounded an ulp past --max here, to 4.316447105998781e+291
+    n_min, n_max, steps = 16.523391142139793, 4.31644710599878e+291, 7
+    grid = cli._grid(n_min, n_max, steps, "linear")
+    assert grid[:-1] == [n_min + (n_max - n_min) * i / (steps - 1) for i in range(steps - 1)]
+    assert grid[-1] == n_max
+
+
 def test_table_log_grid_ends_on_max(capsys):
     # n_min * ratio**1.0 rounded past the largest double here, to inf
     args = ["table", "--min", "1.5", "--max", "1.7976931348623157e308", "--steps", "2",

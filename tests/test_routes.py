@@ -102,8 +102,7 @@ def test_trig_form_near_one_matches_high_precision(form):
 
 
 # Every side of n = 2 to one ulp, where I -> 0 and cancellation shows as
-# relative error.  Route 3 is left out: its psi(1+a) - psi(1+b) is not
-# paired and is still 0.19 off relative there, within its max(1, |I|) bound.
+# relative error.
 NEAR_TWO_GRID = [2.0 - 2.0**-52, 2.0 - 2.0**-51, 2.0 + 2.0**-51, 2.0 + 2.0**-50]
 NEAR_TWO_GRID += [
     n
@@ -113,16 +112,21 @@ NEAR_TWO_GRID += [
 
 
 @pytest.mark.parametrize(
-    "form", [rt.closed_form_trig, rt.intermediate_form, rt.closed_form_trigamma]
+    "form",
+    [rt.closed_form_trig, rt.intermediate_form, rt.closed_form_trigamma,
+     rt.closed_form_gamma_derivative],
 )
 def test_closed_forms_keep_relative_accuracy_on_both_sides_of_two(form):
-    # each was 0.27 to 0.62 off (relative) within an ulp or two of n = 2
+    # each was 0.19 to 0.62 off (relative) within an ulp or two of n = 2
     # before its cancelling difference was rewritten with n - 2 as a factor
-    # (the trig form's cos y at y = pi (n-1)/n -> pi/2 first, for n < 2)
+    # (the trig form's cos y at y = pi (n-1)/n -> pi/2 first, for n < 2).
+    # Route 3 multiplies by e^(lgamma(a) + lgamma(1+b)), whose ~1e-14
+    # absolute error in the log-gamma sum becomes a relative error of I.
+    bound = 2e-14 if form is rt.closed_form_gamma_derivative else 2e-15
     assert form(2.0) == 0.0 and math.copysign(1.0, form(2.0)) == 1.0
     for n in NEAR_TWO_GRID:
         ref = reference_I(n)
-        assert abs(form(n) - ref) <= 2e-15 * abs(ref), n
+        assert abs(form(n) - ref) <= bound * abs(ref), n
 
 
 def test_trigamma_form_over_its_whole_range():
@@ -256,21 +260,26 @@ def test_gamma_derivative_never_calls_quadrature(monkeypatch):
     rt.closed_form_gamma_derivative(3.0)
     rt.closed_form_trig(3.0)
 
-    def polygamma(*args, **kwargs):
-        raise AssertionError("route 3 must not share route 2's polygamma code")
+    def shared(*args, **kwargs):
+        raise AssertionError("route 3 must use its own paired gamma kernel alone")
 
-    # nor the polygamma code behind the trigamma route (both branches)
-    for name in ("polygamma", "trigamma"):
-        monkeypatch.setattr(specfun, name, polygamma)
-    rt.closed_form_gamma_derivative(1.5)
-    rt.closed_form_gamma_derivative(3.0)
+    # nor the public lgamma and digamma, nor the polygamma code and the
+    # paired kernel behind the trigamma route (both branches)
+    with monkeypatch.context() as patch:
+        for name in ("lgamma", "digamma", "polygamma", "trigamma", "_trigamma_pairs"):
+            patch.setattr(specfun, name, shared)
+        rt.closed_form_gamma_derivative(1.5)
+        rt.closed_form_gamma_derivative(3.0)
 
-    def pairs(*args, **kwargs):
-        raise AssertionError("route 3 must not share route 2's paired kernel")
+    def gamma_pairs(*args, **kwargs):
+        raise AssertionError("only route 3 may use the paired gamma kernel")
 
-    monkeypatch.setattr(specfun, "_trigamma_pairs", pairs)
-    rt.closed_form_gamma_derivative(1.5)
-    rt.closed_form_gamma_derivative(3.0)
+    # and the other closed forms never reach route 3's kernel
+    monkeypatch.setattr(specfun, "_gamma_pairs", gamma_pairs)
+    for n in (1.5, 3.0):
+        rt.closed_form_trigamma(n)
+        rt.intermediate_form(n)
+        rt.closed_form_trig(n)
 
 
 # ------------------------------------------------------------ numeric route
@@ -289,7 +298,7 @@ def test_numeric_independent_of_special_functions(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("numeric_I must not touch specfun")
 
-    for name in ("lgamma", "digamma", "polygamma", "trigamma",
+    for name in ("lgamma", "digamma", "polygamma", "trigamma", "_gamma_pairs",
                  "cot_derivative", "gamma_reflection_defect"):
         monkeypatch.setattr(specfun, name, boom)
     for n in (1.001, 1.5, 3.0):  # the scaled (n < 2) and unscaled paths
