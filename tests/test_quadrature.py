@@ -306,6 +306,10 @@ GOLDEN_RUNS = {
     "semi exp(-x) (0,inf)": lambda: integrate_semi_infinite(lambda x: math.exp(-x), 0.0),
     "semi x^-2 (2.5,inf)": lambda: integrate_semi_infinite(lambda x: 1.0 / (x * x), 2.5),
     "bilateral lemma1(2,0.35)": lambda: integrate_bilateral(lemma1_integrand(2, 0.35)),
+    "semi lemma1(1,0.35)": lambda: integrate_semi_infinite(routes._lemma1_scaled(1, 0.35), 0.0),
+    "semi lemma1(2,0.35)": lambda: integrate_semi_infinite(routes._lemma1_scaled(2, 0.35), 0.0),
+    "semi lemma1(3,0.35)": lambda: integrate_semi_infinite(routes._lemma1_scaled(3, 0.35), 0.0),
+    "semi exp(-x) capped": lambda: integrate_semi_infinite(lambda x: math.exp(-x), 0.0, 1e-16),
     "numeric_I 1+2^-52": lambda: numeric_I(1.0 + 2.0**-52),
     "numeric_I 1.001": lambda: numeric_I(1.001),
     "numeric_I 1.5": lambda: numeric_I(1.5),
@@ -321,7 +325,10 @@ GOLDEN_RUNS = {
 # level 3) and route 4's expm1 integrand, taken in u = (n-1)s for n < 2
 # (the n < 2 entries; n = 3, 100 and 600 pin the unscaled path); any change
 # to the node tables, the summation order, the stop rules, the estimate or
-# route 4's integrand must be re-recorded here on purpose.
+# route 4's integrand must be re-recorded here on purpose.  The exp-sinh
+# row lists of levels 0-5 must keep every bit of their columns: the lemma1
+# runs converge on the rows, and the capped run walks levels 6-12 on the
+# columns, so both sides of that boundary are pinned.
 GOLDEN = {
     "finite log (0,1)": ("-0x1.0000000000000p+0", "0x1.0000000000000p-52", 75, True),
     "finite wiggle (0.1,2.3)": ("0x1.f3aa3d26248f4p+2", "0x1.dff9f73178472p-35", 51, True),
@@ -329,6 +336,10 @@ GOLDEN = {
     "semi exp(-x) (0,inf)": ("0x1.0000000000000p+0", "0x1.f6fe90a4fe1bcp-43", 108, True),
     "semi x^-2 (2.5,inf)": ("0x1.9999999999999p-2", "0x1.0000000000000p-52", 70, True),
     "bilateral lemma1(2,0.35)": ("0x1.3e6685d69753cp+5", "0x1.3334b076e2e7cp-45", 334, True),
+    "semi lemma1(1,0.35)": ("0x1.8dd23c1d272aep+3", "0x1.9bed82d4fad4bp-42", 105, True),
+    "semi lemma1(2,0.35)": ("0x1.3e6685d69753cp+5", "0x1.2178d06017d9ep-35", 88, True),
+    "semi lemma1(3,0.35)": ("0x1.b485c67071d78p+8", "0x1.3adcc08817cf3p-27", 88, True),
+    "semi exp(-x) capped": ("0x1.0000000000000p+0", "0x1.0000000000000p-52", 22479, False),
     "numeric_I 1+2^-52": ("0x1.0000000000000p+104", "0x1.7deb8ba059a86p+68", 96, True),
     "numeric_I 1.001": ("0x1.e847cb7790d81p+19", "0x1.7333977ef04fep-16", 92, True),
     "numeric_I 1.5": ("0x1.76505acbb952fp+1", "0x1.892676eb47bf9p-34", 90, True),
@@ -431,3 +442,28 @@ def test_node_tables_stay_compact(cold_cache):
         tracemalloc.stop()
     assert len(quadrature._TANH_SINH) == len(quadrature._EXP_SINH) == 13
     assert current <= 2.5e6
+
+
+def test_row_lists_hold_the_columns_bit_for_bit(cold_cache):
+    for level in range(quadrature._MAX_LEVEL + 1):
+        *columns, rows = quadrature._exp_sinh_level(level)
+        if level > quadrature._LAST_ROW_LEVEL:
+            assert rows is None, level
+            continue
+        assert all(type(row) is tuple for row in rows), level
+        hexes = [tuple(v.hex() for v in row) for row in rows]
+        assert hexes == [tuple(v.hex() for v in row) for row in zip(*columns)], level
+
+
+# The rows are sized for the levels the route integrals walk: route 4 over
+# n - 1 log-uniform on [1e-15, 1e300] and verify_lemma1 on its default grid
+# converge by level _LAST_ROW_LEVEL at every tol they are asked for.
+def test_route_integrals_walk_only_levels_with_rows(cold_cache):
+    rng = random.Random(20)
+    pool = [1.0 + 10.0 ** rng.uniform(-15.0, 300.0) for _ in range(600)]
+    for tol in (1e-6, 1e-10, 1e-15):
+        for n in pool:
+            numeric_I(n, tol)
+        for m in (1, 2, 3):
+            routes.verify_lemma1(m, quad_tol=tol)
+    assert max(quadrature._EXP_SINH) <= quadrature._LAST_ROW_LEVEL
