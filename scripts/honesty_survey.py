@@ -30,7 +30,8 @@ import sys
 import mpmath
 
 from logint.quadrature import integrate_bilateral, integrate_finite, integrate_semi_infinite
-from logint.routes import _lemma1_scaled, numeric_I
+from logint.routes import numeric_I
+from logint.verify import _lemma1_scaled
 
 DISHONEST_FACTOR = 10.0
 TOLS = [10.0**-k for k in range(4, 16)]

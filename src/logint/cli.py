@@ -65,14 +65,16 @@ def _print_json(payload: dict | list) -> None:
 
 
 def _write_csv(fields: Sequence[str], rows: Sequence[dict]) -> None:
-    import csv  # only CSV output pays for this import
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(fields)
+    # no field holds a comma, a quote or a line break (numbers, "true",
+    # "false", subject names, ";"-joined points), so these joined lines are
+    # the bytes csv.writer(lineterminator="\n") writes, without its import
+    write = sys.stdout.write
+    write(",".join(fields) + "\n")
     for row in rows:
-        writer.writerow(
-            _fmt17(row[key]) if isinstance(row[key], float) else row[key]
+        write(",".join(
+            _fmt17(row[key]) if isinstance(row[key], float) else str(row[key])
             for key in fields
-        )
+        ) + "\n")
 
 
 def _row_dict(row: routes.EvaluationRow) -> dict:
@@ -163,17 +165,19 @@ def _run_table(args: argparse.Namespace) -> int:
 def _collect_reports(
     subject: str, quad_tol: float, tol: float | None
 ) -> list[routes.VerificationReport]:
+    from . import verify  # only the verify command loads the verifiers
+
     given = {} if tol is None else {"tol": tol}  # else each verifier's default
     reports = []
     if subject in ("lemma1", "all"):
         for m in (1, 2, 3):
-            reports.append(routes.verify_lemma1(m, quad_tol=quad_tol, **given))
+            reports.append(verify.verify_lemma1(m, quad_tol=quad_tol, **given))
     if subject in ("lemma2", "all"):
-        reports.append(routes.verify_lemma2(**given))
+        reports.append(verify.verify_lemma2(**given))
     if subject in ("lemma3", "all"):
-        reports.append(routes.verify_lemma3(**given))
+        reports.append(verify.verify_lemma3(**given))
     if subject in ("theorem", "all"):
-        reports.append(routes.verify_theorem(quad_tol=quad_tol, **given))
+        reports.append(verify.verify_theorem(quad_tol=quad_tol, **given))
     return reports
 
 

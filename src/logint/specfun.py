@@ -2,31 +2,34 @@
 
 Log-gamma, digamma and polygamma share one scheme: shift the argument
 upward by recurrence until the asymptotic (de Moivre / Stirling) series in
-Bernoulli numbers applies, then sum that series by Horner's rule.  The
-log-gamma shift multiplies (x+1)(x+2)... together and takes one log of the
-product beside ln x; digamma adds its shift terms 1/y into one running sum.
+Bernoulli numbers applies, then sum that series by Horner's rule.
 
-The trigamma route's private kernel ``_trigamma_pairs`` takes the
-combination [psi'(x1) - psi'(y1)] - [psi'(x2) - psi'(y2)] where both pairs
-differ by the same delta, passed in exactly: for I(n), delta = (1/2)(n-2)/n
-and the pairs are (1/2 - 1/2n, 1/2n) and (1 - 1/2n, 1/2 + 1/2n), the first
+This module holds what the closed-form routes run on: the Bernoulli series
+constants and the two private paired kernels of routes 2 and 3.  The
+public functions in ``__all__`` (lgamma, digamma, polygamma, trigamma, the
+cot-derivative polynomials and the two exceptions) are defined in
+``special``, which takes its series constants from here, so each table
+exists once.  ``__getattr__`` imports ``special`` on first access to one
+of them and binds the name here, so ``specfun.polygamma`` works as ever
+while ``logint eval`` and ``logint table`` never load ``special``.  No
+route calls a public special function.
+
+The trigamma route's kernel ``_trigamma_pairs`` takes the combination
+[psi'(x1) - psi'(y1)] - [psi'(x2) - psi'(y2)] where both pairs differ by
+the same delta, passed in exactly: for I(n), delta = (1/2)(n-2)/n and the
+pairs are (1/2 - 1/2n, 1/2n) and (1 - 1/2n, 1/2 + 1/2n), the first
 arguments formed as the route forms them, not as y + delta.  It shifts all
 four arguments together in one loop and carries delta as a factor of every
 shift term and every series term (A&S 6.4.12), so the combination keeps
-full relative accuracy as delta -> 0, where I(n) -> 0.  The public
-``trigamma`` is polygamma(1, x) with its own domain message; no route
-calls it.
+full relative accuracy as delta -> 0, where I(n) -> 0.
 
-The gamma-derivative route's private kernel ``_gamma_pairs`` takes
+The gamma-derivative route's kernel ``_gamma_pairs`` takes
 lgamma(a) + lgamma(1+b) and psi(1+b) - psi(1+a) for a = 1 - 1/n, b = 1/n
 and delta = a - b = (n-2)/n, again passed in exactly.  One loop shifts a
 and b together to a + 12 and b + 12, feeding both log-gamma shift products
 and the digamma shift sum, and the digamma difference carries delta as a
 factor of every term (A&S 6.1.40, 6.3.18), so it too keeps full relative
-accuracy as n -> 2.  No route calls the public ``lgamma`` or ``digamma``.
-
-Derivatives of cot are kept exact as integer-coefficient polynomials in
-c = cot x.
+accuracy as n -> 2.
 
 Every function here is a pure function of its arguments; there is no
 shared mutable state, so concurrent callers need no coordination.
@@ -35,7 +38,6 @@ shared mutable state, so concurrent callers need no coordination.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 __all__ = [
     "DomainError",
@@ -52,17 +54,15 @@ __all__ = [
 ]
 
 
-class DomainError(ValueError):
-    """Argument lies outside the real domain of the requested function."""
+def __getattr__(name: str) -> object:
+    """Import ``special`` for one of the names in ``__all__`` and bind it here."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import special
 
+    value = globals()[name] = getattr(special, name)
+    return value
 
-class UnsupportedOrderError(ValueError):
-    """Requested derivative order is outside the supported range."""
-
-
-#: Highest derivative order served by polygamma and the cot machinery.
-#: Order 12 keeps every CotPolynomial coefficient well inside 64-bit range.
-MAX_DERIVATIVE_ORDER = 12
 
 # Bernoulli numbers B_2k, k = 1..8, as exact (numerator, denominator) pairs
 # (OEIS A027641 / A027642).  Each series constant below is one int / int
@@ -99,19 +99,10 @@ _DIGAMMA_SERIES = tuple(
     for k, (num, den) in reversed(tuple(enumerate(_BERNOULLI[:7], start=1)))
 )
 
-# psi^(m)(x) ~ (-1)^(m+1) [(m-1)!/x^m + m!/(2x^(m+1)) + sum_k e_mk x^(-2k-m)]
-# with e_mk = B_2k (2k+m-1)! / (2k)! (A&S 6.4.11); row m-1 serves order m.
-_POLYGAMMA_SERIES = tuple(
-    tuple(
-        num * math.factorial(2 * k + m - 1) / (den * math.factorial(2 * k))
-        for k, (num, den) in reversed(tuple(enumerate(_BERNOULLI, start=1)))
-    )
-    for m in range(1, MAX_DERIVATIVE_ORDER + 1)
-)
-
-# psi'(x) ~ 1/x + 1/(2x^2) + sum_k B_2k x^(-2k-1) (A&S 6.4.12): the order-1
-# row above, B_2k itself, read lowest k first by the paired kernel below.
-_TRIGAMMA_SERIES = _POLYGAMMA_SERIES[0][::-1]
+# psi'(x) ~ 1/x + 1/(2x^2) + sum_k B_2k x^(-2k-1) (A&S 6.4.12), read lowest
+# k first by the paired kernel below; the same doubles as the order-1 row
+# of the polygamma series in ``special``, whose (2k)!/(2k)! cancels exactly.
+_TRIGAMMA_SERIES = tuple(num / den for num, den in _BERNOULLI)
 
 # The paired trigamma kernel raises its arguments, all in (0, 1], by these
 # unit steps to at least 10, where the series above is good to ~1e-17.
@@ -121,115 +112,6 @@ _PAIR_SHIFTS = tuple(float(k) for k in range(10))
 # b + 12, as lgamma and digamma do, and reads the digamma series lowest k first.
 _GAMMA_SHIFTS = tuple(float(k) for k in range(1, 12))
 _DIGAMMA_PAIR_SERIES = _DIGAMMA_SERIES[::-1]
-
-# Below this |sin x| a double-precision cot carries no information.
-_COT_POLE_GUARD = 1e-12
-
-
-def _require_positive(x: float, where: str) -> None:
-    if not (0.0 < x < math.inf):  # also rejects nan
-        raise DomainError(f"{where} requires a finite argument > 0, got {x!r}")
-
-
-def _check_order(m: int, low: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or not (low <= m <= MAX_DERIVATIVE_ORDER):
-        raise UnsupportedOrderError(
-            f"derivative order must be an integer in [{low}, {MAX_DERIVATIVE_ORDER}], got {m!r}"
-        )
-
-
-def lgamma(x: float) -> float:
-    """ln Gamma(x) for finite x > 0."""
-    _require_positive(x, "lgamma")
-    shift = 0.0
-    y = x
-    if y < _ASYMPTOTIC_START:
-        # ln x stays apart so that a tiny or subnormal x loses nothing; the
-        # rest of the shift is one log of a product below 12!
-        shift = math.log(y)
-        y += 1.0
-        product = 1.0
-        while y < _ASYMPTOTIC_START:
-            product *= y
-            y += 1.0
-        shift += math.log(product)
-    r = 1.0 / (y * y)
-    series = 0.0
-    for c in _LGAMMA_SERIES:
-        series = series * r + c
-    series /= y
-    return (y - 0.5) * math.log(y) - y + _HALF_LN_TWO_PI + series - shift
-
-
-def gamma_reflection_defect(z: float) -> float:
-    """lgamma(z) + lgamma(1-z) - ln(pi / sin(pi z)), zero in exact arithmetic.
-
-    Computing both sides independently makes this a direct numeric probe
-    of the reflection formula; callers assert it is ~0.
-    """
-    if not (0.0 < z < 1.0):
-        raise DomainError(f"reflection defect is defined on (0, 1), got {z!r}")
-    rhs = math.log(math.pi) - math.log(math.sin(math.pi * z))
-    return lgamma(z) + lgamma(1.0 - z) - rhs
-
-
-def digamma(x: float) -> float:
-    """psi(x) = d/dx ln Gamma(x) for finite x > 0.
-
-    Below x ~ 5.6e-309, where psi(x) ~ -1/x passes the largest double,
-    OverflowError is raised, as polygamma and math.gamma do.
-    """
-    _require_positive(x, "digamma")
-    y = x
-    shift = 0.0
-    while y < _ASYMPTOTIC_START:
-        shift += 1.0 / y
-        y += 1.0
-    if shift == math.inf:  # 1/x overflowed
-        raise OverflowError(f"digamma({x!r}) is past the largest double")
-    r = 1.0 / (y * y)
-    series = 0.0
-    for d in _DIGAMMA_SERIES:
-        series = series * r + d
-    return math.log(y) - 0.5 / y - series * r - shift
-
-
-def polygamma(m: int, x: float) -> float:
-    """psi^(m)(x) for 1 <= m <= 12 and finite x > 0.
-
-    x is raised by psi^(m)(x) = psi^(m)(x+1) + (-1)^(m+1) m! x^(-m-1) to at
-    least 8 + 2m, as the series terms grow like (2k+m-1)!.  One fsum adds
-    the shift terms, the leading (m-1)!/y^m and the rest of the series.
-    Once |psi^(m)(x)| ~ m!/x^(m+1) passes the largest double, OverflowError
-    is raised, as math.gamma does.
-    """
-    _check_order(m, low=1)
-    _require_positive(x, "polygamma")
-    fact = math.factorial(m)
-    terms, y = [], x
-    append, power, start = terms.append, -(m + 1), 8.0 + 2 * m
-    while y < start:
-        append(fact * y**power)
-        y += 1.0
-    r = 1.0 / (y * y)
-    series = 0.0
-    for e in _POLYGAMMA_SERIES[m - 1]:
-        series = series * r + e
-    p = y**-m  # not 1/y**m: y**m raises OverflowError past 1.8e308
-    terms += (fact // m) * p, p * (0.5 * fact / y + series * r)
-    value = math.fsum(terms)
-    if value == math.inf:  # m! x^(-m-1) overflowed, though x^(-m-1) did not
-        raise OverflowError(f"polygamma({m}, {x!r}) is past the largest double")
-    return value if m % 2 else -value
-
-
-def trigamma(x: float) -> float:
-    """psi'(x), bit for bit polygamma(1, x).
-
-    Raises OverflowError below x ~ 7.5e-155, where 1/x^2 passes the largest double.
-    """
-    _require_positive(x, "trigamma")
-    return polygamma(1, x)
 
 
 def _trigamma_pairs(x1: float, y1: float, x2: float, y2: float, delta: float) -> float:
@@ -314,74 +196,3 @@ def _gamma_pairs(a: float, b: float, delta: float) -> tuple[float, float]:
         pu *= ru
         w = rv * w + pu * w2
     return lg, -delta * s - math.log1p(delta / v) - 0.5 * w1 - tail
-
-
-class _CotPolynomialFields(NamedTuple):
-    order: int
-    coeffs: tuple[int, ...]
-
-
-class CotPolynomial(_CotPolynomialFields):
-    """d^order/dx^order cot x written as an integer polynomial in c = cot x.
-
-    ``coeffs[k]`` is the coefficient of c**k.  The polynomial for order m
-    has degree exactly m + 1 and contains only powers whose parity
-    matches m + 1; both facts are enforced at construction time.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> CotPolynomial:
-        self = super().__new__(cls, *args, **kwargs)
-        degree = len(self.coeffs) - 1
-        if degree != self.order + 1 or self.coeffs[-1] == 0:
-            raise ValueError(
-                f"order-{self.order} polynomial must have degree {self.order + 1}"
-            )
-        for k, coeff in enumerate(self.coeffs):
-            if coeff != 0 and (degree - k) % 2 != 0:
-                raise ValueError(
-                    f"parity violation at c^{k} in the order-{self.order} polynomial"
-                )
-        return self
-
-    def __call__(self, c: float) -> float:
-        acc = 0.0
-        for coeff in reversed(self.coeffs):
-            acc = acc * c + coeff
-        return acc
-
-
-def _build_cot_polynomials() -> tuple[CotPolynomial, ...]:
-    polys = [CotPolynomial(0, (0, 1))]
-    for _ in range(MAX_DERIVATIVE_ORDER):
-        prev = polys[-1].coeffs
-        # dc/dx = -(1 + c^2), so if P represents the current derivative the
-        # next one is -(1 + c^2) P'(c)
-        deriv = [k * prev[k] for k in range(1, len(prev))]
-        nxt = [0] * (len(deriv) + 2)
-        for i, q in enumerate(deriv):
-            nxt[i] -= q
-            nxt[i + 2] -= q
-        polys.append(CotPolynomial(polys[-1].order + 1, tuple(nxt)))
-    return tuple(polys)
-
-
-_COT_POLYNOMIALS = _build_cot_polynomials()
-
-
-def cot_derivative_poly(m: int) -> CotPolynomial:
-    """Exact polynomial (in cot x) form of the m-th derivative of cot."""
-    _check_order(m, low=0)
-    return _COT_POLYNOMIALS[m]
-
-
-def cot_derivative(m: int, x: float) -> float:
-    """m-th derivative of cot at x; x must stay clear of the poles of cot."""
-    poly = cot_derivative_poly(m)
-    if math.isnan(x) or math.isinf(x):
-        raise DomainError(f"cot_derivative requires finite x, got {x!r}")
-    s = math.sin(x)
-    if abs(s) < _COT_POLE_GUARD:
-        raise DomainError(f"x = {x!r} is within {_COT_POLE_GUARD} of a pole of cot")
-    return poly(math.cos(x) / s)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import pytest
 
-from logint.routes import _check_lemma1
+from logint.verify import _check_lemma1
 
 
 def euler_gamma(n_terms: int = 20_000) -> float:

@@ -404,6 +404,56 @@ def test_verify_csv(capsys):
     assert cells[3] == "true"
 
 
+def reference_csv(fields, rows):
+    """What the stdlib writer makes of the same rows: the bytes to match."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow(
+            cli._fmt17(row[key]) if isinstance(row[key], float) else row[key]
+            for key in fields
+        )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "args, passes",
+    [
+        (["eval", "--n", "3"], None),
+        (["eval", "--n", "1.7976931348623157e308"], None),
+        (["table", "--min", "1.0000001", "--max", "1e300", "--steps", "5", "--spacing", "log"], None),
+        (["verify", "--subject", "all"], {"true"}),
+        (["verify", "--subject", "all", "--tol", "5e-324"], {"false"}),
+        (["verify", "--subject", "all", "--quad-tol", "1e-16"], {"true", "false"}),  # inf deviations
+        (["limit", "--n-list", "10,100,1e200"], None),
+    ],
+)
+def test_csv_writer_matches_the_stdlib_writer(args, passes, capsys, monkeypatch):
+    written = []
+    write_csv = cli._write_csv
+
+    def recorded(fields, rows):
+        written.append((fields, rows))
+        write_csv(fields, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", recorded)
+    _, out, _ = run_cli(args + ["--format", "csv"], capsys)
+    [(fields, rows)] = written
+    assert out == reference_csv(fields, rows)
+    if passes is not None:  # and lemma1's and lemma2's points are ";"-joined pairs
+        assert {row["pass"] for row in rows} == passes
+        assert any(";" in row["worst_point"] for row in rows)
+
+
+def test_csv_writer_matches_the_stdlib_writer_on_edge_values(capsys):
+    edges = [0.0, -0.0, 5e-324, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    rows = [dict(zip(cli.LIMIT_FIELDS, edges[i:] + edges[:i])) for i in range(len(edges))]
+    rows.append({"n": "true", "value": "false", "residual": "1;0.5", "residual_n2": "lemma1"})
+    cli._write_csv(cli.LIMIT_FIELDS, rows)
+    assert capsys.readouterr().out == reference_csv(cli.LIMIT_FIELDS, rows)
+
+
 # ------------------------------------------------------------------ quiet
 
 def test_quiet_silences_human_output_only(capsys):

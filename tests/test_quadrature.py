@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logint
-from logint import quadrature, routes
+from logint import quadrature, routes, verify
 from logint.quadrature import integrate_bilateral, integrate_finite, integrate_semi_infinite
 from logint.routes import lemma1_integrand, numeric_I
 
@@ -187,12 +187,14 @@ def test_tol_validation(taker, tol, monkeypatch):
 
         return g
 
-    # the routes build their own integrands; count them where they enter
-    # the engine
-    monkeypatch.setattr(
-        routes, "integrate_semi_infinite",
-        lambda f, a, t: integrate_semi_infinite(counted(f), a, t),
-    )
+    # the routes and verifiers build their own integrands; count them where
+    # they enter the engine: routes binds the name, verify looks it up in
+    # quadrature
+    def engine(f, a, t):
+        return integrate_semi_infinite(counted(f), a, t)
+
+    monkeypatch.setattr(routes, "integrate_semi_infinite", engine)
+    monkeypatch.setattr(quadrature, "integrate_semi_infinite", engine)
     with pytest.raises(ValueError, match="tolerance"):
         TOL_TAKERS[taker](counted(lambda x: math.exp(-x * x)), tol)
     assert calls == []
@@ -306,9 +308,9 @@ GOLDEN_RUNS = {
     "semi exp(-x) (0,inf)": lambda: integrate_semi_infinite(lambda x: math.exp(-x), 0.0),
     "semi x^-2 (2.5,inf)": lambda: integrate_semi_infinite(lambda x: 1.0 / (x * x), 2.5),
     "bilateral lemma1(2,0.35)": lambda: integrate_bilateral(lemma1_integrand(2, 0.35)),
-    "semi lemma1(1,0.35)": lambda: integrate_semi_infinite(routes._lemma1_scaled(1, 0.35), 0.0),
-    "semi lemma1(2,0.35)": lambda: integrate_semi_infinite(routes._lemma1_scaled(2, 0.35), 0.0),
-    "semi lemma1(3,0.35)": lambda: integrate_semi_infinite(routes._lemma1_scaled(3, 0.35), 0.0),
+    "semi lemma1(1,0.35)": lambda: integrate_semi_infinite(verify._lemma1_scaled(1, 0.35), 0.0),
+    "semi lemma1(2,0.35)": lambda: integrate_semi_infinite(verify._lemma1_scaled(2, 0.35), 0.0),
+    "semi lemma1(3,0.35)": lambda: integrate_semi_infinite(verify._lemma1_scaled(3, 0.35), 0.0),
     "semi exp(-x) capped": lambda: integrate_semi_infinite(lambda x: math.exp(-x), 0.0, 1e-16),
     "numeric_I 1+2^-52": lambda: numeric_I(1.0 + 2.0**-52),
     "numeric_I 1.001": lambda: numeric_I(1.001),

@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from logint import routes as rt
 from logint import specfun
 from logint import quadrature
+from logint import verify
 from logint.quadrature import integrate_bilateral
 
 from oracles import lemma1_folded, reference_I, zeta_partial
@@ -259,6 +260,11 @@ def test_gamma_derivative_never_calls_quadrature(monkeypatch):
     rt.closed_form_trigamma(3.0)
     rt.closed_form_gamma_derivative(3.0)
     rt.closed_form_trig(3.0)
+    # positive controls: route 4 and lemma1 reach the patched engine
+    with pytest.raises(AssertionError, match="quadrature engine"):
+        rt.numeric_I(3.0)
+    with pytest.raises(AssertionError, match="quadrature engine"):
+        rt.verify_lemma1(1)
 
     def shared(*args, **kwargs):
         raise AssertionError("route 3 must use its own paired gamma kernel alone")
@@ -266,20 +272,28 @@ def test_gamma_derivative_never_calls_quadrature(monkeypatch):
     # nor the public lgamma and digamma, nor the polygamma code and the
     # paired kernel behind the trigamma route (both branches)
     with monkeypatch.context() as patch:
-        for name in ("lgamma", "digamma", "polygamma", "trigamma", "_trigamma_pairs"):
+        for name in ("lgamma", "digamma", "polygamma", "trigamma"):
             patch.setattr(specfun, name, shared)
+        patch.setattr(rt, "_trigamma_pairs", shared)  # routes binds the kernels by name
         rt.closed_form_gamma_derivative(1.5)
         rt.closed_form_gamma_derivative(3.0)
+        # positive controls: route 2 and lemma2 reach the patched functions
+        with pytest.raises(AssertionError, match="gamma kernel alone"):
+            rt.closed_form_trigamma(3.0)
+        with pytest.raises(AssertionError, match="gamma kernel alone"):
+            rt.verify_lemma2()
 
     def gamma_pairs(*args, **kwargs):
         raise AssertionError("only route 3 may use the paired gamma kernel")
 
     # and the other closed forms never reach route 3's kernel
-    monkeypatch.setattr(specfun, "_gamma_pairs", gamma_pairs)
+    monkeypatch.setattr(rt, "_gamma_pairs", gamma_pairs)
     for n in (1.5, 3.0):
         rt.closed_form_trigamma(n)
         rt.intermediate_form(n)
         rt.closed_form_trig(n)
+        with pytest.raises(AssertionError, match="only route 3"):  # positive control
+            rt.closed_form_gamma_derivative(n)
 
 
 # ------------------------------------------------------------ numeric route
@@ -298,11 +312,20 @@ def test_numeric_independent_of_special_functions(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("numeric_I must not touch specfun")
 
-    for name in ("lgamma", "digamma", "polygamma", "trigamma", "_gamma_pairs",
+    for name in ("lgamma", "digamma", "polygamma", "trigamma",
                  "cot_derivative", "gamma_reflection_defect"):
         monkeypatch.setattr(specfun, name, boom)
+    for name in ("_trigamma_pairs", "_gamma_pairs"):  # where routes looks them up
+        monkeypatch.setattr(rt, name, boom)
     for n in (1.001, 1.5, 3.0):  # the scaled (n < 2) and unscaled paths
         assert rt.numeric_I(n).converged, n
+    # positive controls: each patch is where its callers look it up
+    for route in (rt.closed_form_trigamma, rt.closed_form_gamma_derivative):
+        with pytest.raises(AssertionError, match="must not touch"):
+            route(3.0)
+    for verifier in (verify.verify_lemma1, verify.verify_lemma2):
+        with pytest.raises(AssertionError, match="must not touch"):
+            verifier(1)
 
 
 @given(st.floats(min_value=1.0, max_value=1e12, exclude_min=True))
@@ -462,7 +485,7 @@ def test_lemma1_integrand_validation():
 def test_folded_lemma1_rejects_what_the_integrand_rejects(m, z):
     with pytest.raises(ValueError) as expected:
         rt.lemma1_integrand(m, z)
-    for build in (lemma1_folded, rt._lemma1_scaled, lambda m, z: rt.verify_lemma1(m, (z,))):
+    for build in (lemma1_folded, verify._lemma1_scaled, lambda m, z: rt.verify_lemma1(m, (z,))):
         with pytest.raises(ValueError) as got:
             build(m, z)
         assert type(got.value) is type(expected.value)
@@ -517,7 +540,7 @@ def test_scaled_lemma1_integrand_matches_high_precision():
     us = [10.0 ** (k / 4.0) for k in range(-1200, 13)]  # 1e-300 ... 1e3
     for m in (1, 2, 3):
         for z in LEMMA1_Z + [0.5 - 1e-9, 0.5 + 1e-9]:
-            g = rt._lemma1_scaled(m, z)
+            g = verify._lemma1_scaled(m, z)
             lo = min(z, 1.0 - z)
             c = 2 / mpmath.mpf(lo)
             floor = sys.float_info.min * (2.0 / lo) ** m
@@ -531,7 +554,7 @@ def test_scaled_lemma1_integrand_matches_high_precision():
 
 
 def test_scaled_lemma1_integrand_is_zero_far_out():
-    g = rt._lemma1_scaled(3, 0.2)
+    g = verify._lemma1_scaled(3, 0.2)
     assert g(400.0) == 0.0  # e^(-2u) underflows
     assert g(1e200) == 0.0  # where u^2 alone would overflow
     assert math.isfinite(g(300.0))
@@ -543,7 +566,7 @@ def test_scaled_lemma1_evaluations_are_bounded():
     # are deterministic.
     for m in (1, 2, 3):
         for z in LEMMA1_Z + [1e-5, 1e-3, 0.999]:
-            outcome = quadrature.integrate_semi_infinite(rt._lemma1_scaled(m, z), 0.0)
+            outcome = quadrature.integrate_semi_infinite(verify._lemma1_scaled(m, z), 0.0)
             assert outcome.converged, (m, z)
             assert outcome.evaluations <= 105, (m, z, outcome.evaluations)
 
@@ -557,7 +580,7 @@ def test_scaled_lemma1_is_honest_where_the_folded_form_is_not(z, quad_tol):
     mpmath.mp.dps = 40
     w = mpmath.mpf(z)
     ref = mpmath.polygamma(1, 1 - w) + mpmath.polygamma(1, w)
-    outcome = quadrature.integrate_semi_infinite(rt._lemma1_scaled(1, z), 0.0, quad_tol)
+    outcome = quadrature.integrate_semi_infinite(verify._lemma1_scaled(1, z), 0.0, quad_tol)
     assert outcome.converged
     assert abs(outcome.value - ref) <= 10.0 * outcome.error_estimate
 
@@ -572,7 +595,7 @@ def test_verify_lemma1_overflows_only_in_polygamma(m, z):
     if (m, z) in overflows:
         with pytest.raises(OverflowError) as info:
             rt.verify_lemma1(m, (z,))
-        assert info.traceback[-1].path.name == "specfun.py"
+        assert info.traceback[-1].path.name == "special.py"  # where polygamma is defined
     else:
         report = rt.verify_lemma1(m, (z,))
         assert report.grid == ((float(m), z),)
@@ -602,7 +625,7 @@ def test_lemma1_center_point_reproduces_pi_squared():
 LEMMA1_PATHS = {
     "bilateral": lambda m, z: integrate_bilateral(rt.lemma1_integrand(m, z)),
     "folded": lambda m, z: quadrature.integrate_semi_infinite(lemma1_folded(m, z), 0.0),
-    "verify": lambda m, z: quadrature.integrate_semi_infinite(rt._lemma1_scaled(m, z), 0.0),
+    "verify": lambda m, z: quadrature.integrate_semi_infinite(verify._lemma1_scaled(m, z), 0.0),
 }
 
 
