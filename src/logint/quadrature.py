@@ -7,23 +7,22 @@ half-lines, and ``integrate_bilateral`` folds the real line at zero into
 one half-line integral of f(t) + f(-t).
 
 Refinement halves the trapezoid step once per level.  The nodes of a level
-do not depend on the interval, so each transform builds a table of them per
-level on first use and every later call walks the cached table; only the
-products with the interval (weight scale, abscissa offset) are formed per
-call.  Tables are array('d') columns, about 1.8 MB for every level of both
-transforms.  Walking columns boxes a new float per column and node, so
-exp-sinh levels 0 to _LAST_ROW_LEVEL = 5 also keep their nodes as row
-tuples: every route integral (numeric_I, the lemma1 integrals) converges
-by level 5 at any tol from 1e-6 to 1e-15, while rows at all levels would
-take about 6.7 MB, past the 2.5 MB the tests hold the cache to.  Nodes are
-visited in a fixed center-outward order, abscissas are formed as offsets
-from the nearest endpoint (so no precision is lost next to a singularity),
-partial sums use compensated (Kahan) accumulation in that same order, and
-the error estimate extrapolates from the last three level-to-level
-differences, floored at machine precision of max(1, |value|).  Identical
-inputs therefore produce bit-identical outcomes, whether or not a table
-was cached and whether a level is walked by rows or by columns.  A
-non-finite value or error estimate is never reported as converged.
+do not depend on the interval, so each transform keeps one list of row
+tuples per level, and only the products with the interval (weight scale,
+abscissa offset) are formed per call.  Levels 0 to _LAST_CACHED_LEVEL = 5
+are built on first use and cached (about 73 kB for both transforms): every
+route integral (numeric_I, the lemma1 integrals) converges by level 5 at
+any tol from 1e-6 to 1e-15.  A finer level is built again on each pass
+that asks for it, 10 to 14 ms per call for levels 6 to 12 together, a
+cost only calls that walk past level 5 pay.  Nodes are visited in a fixed
+center-outward order, abscissas are formed as offsets from the nearest
+endpoint (so no precision is lost next to a singularity), partial sums use
+compensated (Kahan) accumulation in that same order, and the error
+estimate extrapolates from the last three level-to-level differences,
+floored at machine precision of max(1, |value|).  Identical inputs
+therefore produce bit-identical outcomes, whether or not a level was
+cached.  A non-finite value or error estimate is never reported as
+converged.
 
 Each side of a level's node ladder ends on its own: a tanh-sinh side once
 its abscissa rounds onto the endpoint, an exp-sinh side once two
@@ -35,15 +34,13 @@ scale, is missed.
 
 The one setting is ``tol``: a call converges once its error estimate is
 at most tol * max(1, |value|), from level _MIN_LEVEL on.  Refinement stops
-at level _MAX_LEVEL, which also bounds the evaluation count and the
-node-table cache.
+at level _MAX_LEVEL, which also bounds the evaluation count.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from array import array
 from itertools import count
 from typing import Callable, NamedTuple
 
@@ -61,12 +58,11 @@ _HALF_PI = math.pi / 2.0
 # differences behind its error estimate.
 _MIN_LEVEL = 3
 
-# The finest level, h = 2^-12.  It bounds the evaluations of every call
-# and the node-table cache (about 1.8 MB for both transforms).
+# The finest level, h = 2^-12.  It bounds the evaluations of every call.
 _MAX_LEVEL = 12
 
-# The finest exp-sinh level that also keeps its nodes as row tuples.
-_LAST_ROW_LEVEL = _MIN_LEVEL + 2
+# The finest level whose nodes are cached; finer ones are built per pass.
+_LAST_CACHED_LEVEL = _MIN_LEVEL + 2
 
 
 class QuadratureOutcome(NamedTuple):
@@ -78,24 +74,23 @@ class QuadratureOutcome(NamedTuple):
     converged: bool
 
 
-# Node tables, one per level and transform, built on first use.  Level 0
-# holds k = 1, 2, ... at h = 1; level L >= 1 holds the odd k at h = 2^-L.
-# A table keeps only what does not depend on the interval, as parallel
-# array('d') columns; an exp-sinh table ends in its row list, or None above
-# _LAST_ROW_LEVEL.  Threads that race to build a level build identical
-# tables, so setdefault is all the locking needed.
+# Node tables, one per level and transform.  Level 0 holds k = 1, 2, ...
+# at h = 1; level L >= 1 holds the odd k at h = 2^-L.  A table is a list of
+# row tuples of what does not depend on the interval, so a pass walks it
+# without boxing a new float per node.  Threads that race to build a level
+# build identical tables, so setdefault is all the locking needed.
 _Row = tuple[float, float, float, float]
-_TANH_SINH: dict[int, tuple[array, array, array, array]] = {}
-_EXP_SINH: dict[int, tuple[array, array, array, array, list[_Row] | None]] = {}
+_TANH_SINH: dict[int, list[_Row]] = {}
+_EXP_SINH: dict[int, list[_Row]] = {}
 
 
-def _tanh_sinh_level(level: int) -> tuple[array, array, array, array]:
-    """Columns cosh(t), q, (1+q)^2 and 2q/(1+q), up to the first q == 0."""
+def _tanh_sinh_level(level: int) -> list[_Row]:
+    """Rows (cosh t, q, (1+q)^2, 2q/(1+q) = 1 - |tanh|), up to the first q == 0."""
     table = _TANH_SINH.get(level)
     if table is not None:
         return table
     h = 0.5**level
-    cosh_t, qs, one_plus_sq, rs = array("d"), array("d"), array("d"), array("d")
+    rows = []
     for k in count(1, 2 if level else 1):
         t = k * h
         y = _HALF_PI * math.sinh(t)
@@ -103,32 +98,22 @@ def _tanh_sinh_level(level: int) -> tuple[array, array, array, array]:
         if q == 0.0:
             break  # weights underflow from here on
         one_plus = 1.0 + q
-        cosh_t.append(math.cosh(t))
-        qs.append(q)
-        one_plus_sq.append(one_plus * one_plus)
-        rs.append(2.0 * q / one_plus)  # 1 - |tanh|
-    return _TANH_SINH.setdefault(level, (cosh_t, qs, one_plus_sq, rs))
+        rows.append((math.cosh(t), q, one_plus * one_plus, 2.0 * q / one_plus))
+    return rows if level > _LAST_CACHED_LEVEL else _TANH_SINH.setdefault(level, rows)
 
 
-def _exp_sinh_level(level: int) -> tuple[array, array, array, array, list[_Row] | None]:
-    """Columns base*grow, grow, base*decay and decay, up to where both die.
+def _exp_sinh_level(level: int) -> list[_Row]:
+    """Rows (base*grow, grow, base*decay, decay), up to where both die.
 
     Past y = 709 exp(y) would overflow, so grow is stored as inf there and
     the far side stops on its non-finite weight; the table ends where the
     near weight underflows to zero as well.
-
-    Levels up to _LAST_ROW_LEVEL (219 nodes in all, about 39 kB) also
-    keep the same nodes as a list of (far_w, grow, near_w, decay) tuples,
-    the columns' values bit for bit, so a pass walks them without boxing a
-    float per column; finer levels keep None there.  Route integrals never
-    get past level 5; rows at all 13 levels would take the cache from
-    about 1.8 to about 6.7 MB.
     """
     table = _EXP_SINH.get(level)
     if table is not None:
         return table
     h = 0.5**level
-    far_w, grows, near_w, decays = array("d"), array("d"), array("d"), array("d")
+    rows = []
     for k in count(1, 2 if level else 1):
         t = k * h
         y = _HALF_PI * math.sinh(t)
@@ -137,12 +122,8 @@ def _exp_sinh_level(level: int) -> tuple[array, array, array, array, list[_Row] 
         decay = math.exp(-y)
         if base * decay == 0.0 and not math.isfinite(base * grow):
             break
-        far_w.append(base * grow)
-        grows.append(grow)
-        near_w.append(base * decay)
-        decays.append(decay)
-    rows = list(zip(far_w, grows, near_w, decays)) if level <= _LAST_ROW_LEVEL else None
-    return _EXP_SINH.setdefault(level, (far_w, grows, near_w, decays, rows))
+        rows.append((base * grow, grow, base * decay, decay))
+    return rows if level > _LAST_CACHED_LEVEL else _EXP_SINH.setdefault(level, rows)
 
 
 def _check_tol(tol: float) -> None:
@@ -224,7 +205,7 @@ def integrate_finite(
         comp = 0.0  # Kahan compensation; addition order is part of the contract
         left_alive = True
         right_alive = True
-        for ch, q, opsq, r in zip(*_tanh_sinh_level(level)):
+        for ch, q, opsq, r in _tanh_sinh_level(level):
             w = scale * ch * 4.0 * q / opsq
             offset = halfspan * r
             contribution = 0.0
@@ -288,8 +269,7 @@ def integrate_semi_infinite(
         cut = _EPS * 0.5 ** max(0, level - _MIN_LEVEL)
         near_tiny = 0
         far_tiny = 0
-        *columns, rows = _exp_sinh_level(level)
-        for far_w, grow, near_w, decay in rows or zip(*columns):
+        for far_w, grow, near_w, decay in _exp_sinh_level(level):
             contribution = 0.0
             if far_alive:
                 x = a + grow

@@ -241,8 +241,8 @@ def evaluate_all_routes(n: float, quad_tol: float = 1e-10) -> EvaluationRow:
 def limit_probe(n_list: Sequence[float]) -> list[tuple[float, float, float]]:
     """Closed-form values along an ascending n list, with residual I(n) + 1.
 
-    The residuals decay like 1/n^2 toward the limit value -1; callers
-    check positivity and monotone decrease.
+    The residuals decay like 1/n^2 toward the limit value -1; the CLI's
+    ``limit`` command checks only that they strictly decrease.
     """
     ns = [_check_n(n) for n in n_list]
     if not ns:

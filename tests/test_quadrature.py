@@ -312,6 +312,7 @@ GOLDEN_RUNS = {
     "semi lemma1(2,0.35)": lambda: integrate_semi_infinite(verify._lemma1_scaled(2, 0.35), 0.0),
     "semi lemma1(3,0.35)": lambda: integrate_semi_infinite(verify._lemma1_scaled(3, 0.35), 0.0),
     "semi exp(-x) capped": lambda: integrate_semi_infinite(lambda x: math.exp(-x), 0.0, 1e-16),
+    "finite sin (0,pi) capped": lambda: integrate_finite(math.sin, 0.0, math.pi, 1e-16),
     "numeric_I 1+2^-52": lambda: numeric_I(1.0 + 2.0**-52),
     "numeric_I 1.001": lambda: numeric_I(1.001),
     "numeric_I 1.5": lambda: numeric_I(1.5),
@@ -327,10 +328,10 @@ GOLDEN_RUNS = {
 # level 3) and route 4's expm1 integrand, taken in u = (n-1)s for n < 2
 # (the n < 2 entries; n = 3, 100 and 600 pin the unscaled path); any change
 # to the node tables, the summation order, the stop rules, the estimate or
-# route 4's integrand must be re-recorded here on purpose.  The exp-sinh
-# row lists of levels 0-5 must keep every bit of their columns: the lemma1
-# runs converge on the rows, and the capped run walks levels 6-12 on the
-# columns, so both sides of that boundary are pinned.
+# route 4's integrand must be re-recorded here on purpose.  Levels 0-5 are
+# cached and finer levels are built again per pass: the converged runs stop
+# on cached levels, and the two capped runs walk levels 6-12 of each
+# transform, so both sides of that boundary are pinned.
 GOLDEN = {
     "finite log (0,1)": ("-0x1.0000000000000p+0", "0x1.0000000000000p-52", 75, True),
     "finite wiggle (0.1,2.3)": ("0x1.f3aa3d26248f4p+2", "0x1.dff9f73178472p-35", 51, True),
@@ -342,6 +343,7 @@ GOLDEN = {
     "semi lemma1(2,0.35)": ("0x1.3e6685d69753cp+5", "0x1.2178d06017d9ep-35", 88, True),
     "semi lemma1(3,0.35)": ("0x1.b485c67071d78p+8", "0x1.3adcc08817cf3p-27", 88, True),
     "semi exp(-x) capped": ("0x1.0000000000000p+0", "0x1.0000000000000p-52", 22479, False),
+    "finite sin (0,pi) capped": ("0x1.0000000000000p+1", "0x1.0000000000000p-51", 38208, False),
     "numeric_I 1+2^-52": ("0x1.0000000000000p+104", "0x1.7deb8ba059a86p+68", 96, True),
     "numeric_I 1.001": ("0x1.e847cb7790d81p+19", "0x1.7333977ef04fep-16", 92, True),
     "numeric_I 1.5": ("0x1.76505acbb952fp+1", "0x1.892676eb47bf9p-34", 90, True),
@@ -369,6 +371,21 @@ def cold_cache(monkeypatch):
     monkeypatch.setattr(quadrature, "_EXP_SINH", {})
 
 
+@pytest.fixture
+def asked_levels(monkeypatch):
+    """The levels the passes ask each transform for, in call order."""
+    asked = {"tanh_sinh": [], "exp_sinh": []}
+    for transform, levels in asked.items():
+        name = f"_{transform}_level"
+
+        def recorded(level, build=getattr(quadrature, name), levels=levels):
+            levels.append(level)
+            return build(level)
+
+        monkeypatch.setattr(quadrature, name, recorded)
+    return asked
+
+
 def test_import_builds_no_level():
     src = os.path.dirname(os.path.dirname(logint.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -381,9 +398,13 @@ def test_import_builds_no_level():
     assert proc.stdout.split() == ["0", "0"]
 
 
+# The capped runs walk levels 6-12, which every pass builds for itself.
 def _cache_workload():
     return [numeric_I(n) for n in (1.5, 3.0, 42.0)] + [
         integrate_bilateral(lemma1_integrand(m, 0.3)) for m in (1, 2, 3)
+    ] + [
+        integrate_semi_infinite(lambda x: math.exp(-x), 0.0, 1e-16),
+        integrate_finite(math.sin, 0.0, math.pi, 1e-16),
     ]
 
 
@@ -416,51 +437,46 @@ def test_threads_on_a_cold_cache_match_a_serial_run(cold_cache):
 # Each run asks for more accuracy than roundoff allows (|I| >= 1), so it
 # walks every level up to the cap.
 CAPPED_RUNS = {
-    "finite": (lambda: integrate_finite(math.sin, 0.0, math.pi, 1e-16), "_TANH_SINH", 1),
-    "semi": (lambda: integrate_semi_infinite(lambda x: math.exp(-x), 0.0, 1e-16), "_EXP_SINH", 1),
-    "bilateral": (lambda: integrate_bilateral(lambda t: math.exp(-t * t), 1e-16), "_EXP_SINH", 2),
+    "finite": (lambda: integrate_finite(math.sin, 0.0, math.pi, 1e-16), "tanh_sinh", 1),
+    "semi": (lambda: integrate_semi_infinite(lambda x: math.exp(-x), 0.0, 1e-16), "exp_sinh", 1),
+    "bilateral": (lambda: integrate_bilateral(lambda t: math.exp(-t * t), 1e-16), "exp_sinh", 2),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(CAPPED_RUNS))
-def test_level_cap_bounds_tables_and_evaluations(kind, cold_cache):
-    run, cache_name, calls_per_node = CAPPED_RUNS[kind]
+def test_level_cap_bounds_tables_and_evaluations(kind, cold_cache, asked_levels):
+    run, transform, calls_per_node = CAPPED_RUNS[kind]
     outcome = run()
-    cache = getattr(quadrature, cache_name)
     assert not outcome.converged
-    assert sorted(cache) == list(range(13))  # no level above 12 is built
-    nodes = sum(len(cache[level][0]) for level in cache)
+    assert asked_levels[transform] == list(range(13))  # each level once, none above 12
+    assert sorted(getattr(quadrature, f"_{transform.upper()}")) == list(range(6))
+    build = getattr(quadrature, f"_{transform}_level")
+    nodes = sum(len(build(level)) for level in range(13))
     assert outcome.evaluations <= calls_per_node * (1 + 2 * nodes)
 
 
 def test_node_tables_stay_compact(cold_cache):
     tracemalloc.start()
     try:
-        for level in range(13):
+        for level in range(6):
             quadrature._tanh_sinh_level(level)
             quadrature._exp_sinh_level(level)
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(quadrature._TANH_SINH) == len(quadrature._EXP_SINH) == 13
-    assert current <= 2.5e6
+    # built outside the measurement: a discarded level's tuples stay traced
+    # in CPython's tuple free list
+    for level in range(6, 13):
+        quadrature._tanh_sinh_level(level)
+        quadrature._exp_sinh_level(level)
+    assert sorted(quadrature._TANH_SINH) == sorted(quadrature._EXP_SINH) == list(range(6))
+    assert current <= 1e5  # 73 kB measured for both transforms
 
 
-def test_row_lists_hold_the_columns_bit_for_bit(cold_cache):
-    for level in range(quadrature._MAX_LEVEL + 1):
-        *columns, rows = quadrature._exp_sinh_level(level)
-        if level > quadrature._LAST_ROW_LEVEL:
-            assert rows is None, level
-            continue
-        assert all(type(row) is tuple for row in rows), level
-        hexes = [tuple(v.hex() for v in row) for row in rows]
-        assert hexes == [tuple(v.hex() for v in row) for row in zip(*columns)], level
-
-
-# The rows are sized for the levels the route integrals walk: route 4 over
+# The cache is sized for the levels the route integrals walk: route 4 over
 # n - 1 log-uniform on [1e-15, 1e300] and verify_lemma1 on its default grid
-# converge by level _LAST_ROW_LEVEL at every tol they are asked for.
-def test_route_integrals_walk_only_levels_with_rows(cold_cache):
+# converge by level _LAST_CACHED_LEVEL at every tol they are asked for.
+def test_route_integrals_walk_only_cached_levels(asked_levels):
     rng = random.Random(20)
     pool = [1.0 + 10.0 ** rng.uniform(-15.0, 300.0) for _ in range(600)]
     for tol in (1e-6, 1e-10, 1e-15):
@@ -468,4 +484,4 @@ def test_route_integrals_walk_only_levels_with_rows(cold_cache):
             numeric_I(n, tol)
         for m in (1, 2, 3):
             routes.verify_lemma1(m, quad_tol=tol)
-    assert max(quadrature._EXP_SINH) <= quadrature._LAST_ROW_LEVEL
+    assert max(asked_levels["exp_sinh"]) <= quadrature._LAST_CACHED_LEVEL
