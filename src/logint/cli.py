@@ -1,6 +1,11 @@
 """Command-line front end: evaluate the integral, tabulate it over a grid,
 verify the identity chain, and probe the n -> infinity limit.
 
+This module holds the parser, the shared output helpers and the ``eval``
+and ``table`` handlers.  The ``verify`` and ``limit`` handlers live in
+``cli_checks``, which the two thin entries here import only when one of
+those commands runs, so a cold ``logint eval`` compiles none of them.
+
 Exit codes: 0 success / all checks pass, 1 verification failure (or stdout
 closed before the payload was written, as by ``| head``), 2 usage or
 domain error, 3 quadrature non-convergence (or an eval/table spread above
@@ -123,6 +128,9 @@ def _run_eval(args: argparse.Namespace) -> int:
 
 
 def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
+    for flag, value in (("--min", n_min), ("--max", n_max)):
+        if not math.isfinite(value):  # an infinite span puts nan or inf in the grid
+            raise ValueError(f"{flag}: exponent must be finite, got {value!r}")
     if not (n_min > 1.0 and n_max > n_min):
         raise ValueError(
             f"need 1 < min < max, got min={n_min!r}, max={n_max!r}"
@@ -162,93 +170,16 @@ def _run_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _collect_reports(
-    subject: str, quad_tol: float, tol: float | None
-) -> list[routes.VerificationReport]:
-    from . import verify  # only the verify command loads the verifiers
-
-    given = {} if tol is None else {"tol": tol}  # else each verifier's default
-    reports = []
-    if subject in ("lemma1", "all"):
-        for m in (1, 2, 3):
-            reports.append(verify.verify_lemma1(m, quad_tol=quad_tol, **given))
-    if subject in ("lemma2", "all"):
-        reports.append(verify.verify_lemma2(**given))
-    if subject in ("lemma3", "all"):
-        reports.append(verify.verify_lemma3(**given))
-    if subject in ("theorem", "all"):
-        reports.append(verify.verify_theorem(quad_tol=quad_tol, **given))
-    return reports
-
-
-def _report_dict(report: routes.VerificationReport) -> dict:
-    return {
-        "subject": report.subject.value,
-        "max_abs_deviation": report.max_abs_deviation,
-        "tolerance": report.tolerance,
-        "pass": report.passed,
-        "worst_point": list(report.worst_point),
-    }
-
-
 def _run_verify(args: argparse.Namespace) -> int:
-    reports = _collect_reports(args.subject, args.quad_tol, args.tol)
-    if args.fmt == "json":
-        _print_json([_report_dict(r) for r in reports])
-    elif args.fmt == "csv":
-        rows = []
-        for r in reports:
-            d = _report_dict(r)
-            d["pass"] = "true" if r.passed else "false"
-            d["worst_point"] = ";".join(_fmt17(p) for p in r.worst_point)
-            rows.append(d)
-        _write_csv(VERIFY_FIELDS, rows)
-    elif not args.quiet:
-        for r in reports:
-            state = "PASS" if r.passed else "FAIL"
-            point = ", ".join(_fmt10(p) for p in r.worst_point)
-            print(
-                f"{r.subject.value:12s} {state}"
-                f"  max deviation {r.max_abs_deviation:.3e}"
-                f" (tol {r.tolerance:g}) worst at ({point})"
-            )
-    if any(math.isinf(r.max_abs_deviation) for r in reports):
-        return EXIT_NO_CONVERGENCE
-    if any(not r.passed for r in reports):
-        return EXIT_VERIFICATION_FAILED
-    return EXIT_OK
+    from . import cli_checks  # only verify and limit compile their handlers
 
-
-def _parse_n_list(text: str) -> list[float]:
-    try:
-        values = [float(piece) for piece in text.split(",") if piece.strip()]
-    except ValueError:
-        raise ValueError(f"could not parse n list {text!r}") from None
-    if not values:
-        raise ValueError("n list is empty")
-    return values
+    return cli_checks._run_verify(args)
 
 
 def _run_limit(args: argparse.Namespace) -> int:
-    probe = routes.limit_probe(_parse_n_list(args.n_list))
-    rows = [
-        {"n": n, "value": value, "residual": residual, "residual_n2": residual * n * n}
-        for n, value, residual in probe
-    ]
-    if args.fmt == "json":
-        _print_json(rows)
-    elif args.fmt == "csv":
-        _write_csv(LIMIT_FIELDS, rows)
-    elif not args.quiet:
-        print(f"{'n':>14s} {'I(n)':>20s} {'I(n)+1':>14s} {'(I(n)+1)*n^2':>14s}")
-        for row in rows:
-            print(
-                f"{_fmt10(row['n']):>14s} {_fmt10(row['value']):>20s}"
-                f" {row['residual']:>14.6e} {row['residual_n2']:>14.10f}"
-            )
-    residuals = [row["residual"] for row in rows]
-    decreasing = all(b < a for a, b in zip(residuals, residuals[1:]))
-    return EXIT_OK if decreasing else EXIT_VERIFICATION_FAILED
+    from . import cli_checks
+
+    return cli_checks._run_limit(args)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

@@ -1,10 +1,15 @@
 """Deterministic double-exponential quadrature on plain Python floats.
 
-``integrate_finite`` applies the tanh-sinh transform, which soaks up
-integrable endpoint singularities (ln x, inverse square roots) without any
-subdivision logic; ``integrate_semi_infinite`` is the exp-sinh analogue for
-half-lines, and ``integrate_bilateral`` folds the real line at zero into
-one half-line integral of f(t) + f(-t).
+``integrate_semi_infinite`` applies the exp-sinh transform, which soaks up
+an integrable singularity at the lower limit and the unbounded tail
+without any subdivision logic, and ``integrate_bilateral`` folds the real
+line at zero into one half-line integral of f(t) + f(-t).  Every route
+integral runs on these two.  ``integrate_finite``, the tanh-sinh analogue
+for finite intervals, is defined in ``tanh_sinh``, which no route calls:
+``__getattr__`` imports it on first access and binds the name here, so
+``quadrature.integrate_finite`` works as ever while ``logint eval`` and
+``logint table`` never compile it.  Both transforms share the
+level-doubling loop, the error estimate and the ``tol`` rule below.
 
 Refinement halves the trapezoid step once per level.  The nodes of a level
 do not depend on the interval, so each transform keeps one list of row
@@ -51,6 +56,21 @@ __all__ = [
     "integrate_bilateral",
 ]
 
+
+def __getattr__(name: str) -> object:
+    """Import ``tanh_sinh`` for ``integrate_finite`` and bind it here.
+
+    The only name in ``__all__`` that this module does not define; any
+    other missing name is an AttributeError, as usual.
+    """
+    if name != "integrate_finite":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .tanh_sinh import integrate_finite
+
+    globals()[name] = integrate_finite
+    return integrate_finite
+
+
 _EPS = sys.float_info.epsilon
 _HALF_PI = math.pi / 2.0
 
@@ -74,32 +94,14 @@ class QuadratureOutcome(NamedTuple):
     converged: bool
 
 
-# Node tables, one per level and transform.  Level 0 holds k = 1, 2, ...
-# at h = 1; level L >= 1 holds the odd k at h = 2^-L.  A table is a list of
-# row tuples of what does not depend on the interval, so a pass walks it
-# without boxing a new float per node.  Threads that race to build a level
-# build identical tables, so setdefault is all the locking needed.
+# Node tables, one per level; the tanh-sinh one is ``tanh_sinh._TANH_SINH``.
+# Level 0 holds k = 1, 2, ... at h = 1; level L >= 1 holds the odd k at
+# h = 2^-L.  A table is a list of row tuples of what does not depend on the
+# interval, so a pass walks it without boxing a new float per node.
+# Threads that race to build a level build identical tables, so setdefault
+# is all the locking needed.
 _Row = tuple[float, float, float, float]
-_TANH_SINH: dict[int, list[_Row]] = {}
 _EXP_SINH: dict[int, list[_Row]] = {}
-
-
-def _tanh_sinh_level(level: int) -> list[_Row]:
-    """Rows (cosh t, q, (1+q)^2, 2q/(1+q) = 1 - |tanh|), up to the first q == 0."""
-    table = _TANH_SINH.get(level)
-    if table is not None:
-        return table
-    h = 0.5**level
-    rows = []
-    for k in count(1, 2 if level else 1):
-        t = k * h
-        y = _HALF_PI * math.sinh(t)
-        q = math.exp(-2.0 * y)
-        if q == 0.0:
-            break  # weights underflow from here on
-        one_plus = 1.0 + q
-        rows.append((math.cosh(t), q, one_plus * one_plus, 2.0 * q / one_plus))
-    return rows if level > _LAST_CACHED_LEVEL else _TANH_SINH.setdefault(level, rows)
 
 
 def _exp_sinh_level(level: int) -> list[_Row]:
@@ -177,61 +179,6 @@ def _refine(
         if err <= tol * scale and level >= _MIN_LEVEL:
             return QuadratureOutcome(value, err, used, True)
     return QuadratureOutcome(value, err, used, False)
-
-
-def integrate_finite(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-) -> QuadratureOutcome:
-    """Integrate f over the open interval (a, b), both endpoints finite.
-
-    The endpoints themselves are never passed to f: abscissas are built as
-    offsets from the nearer endpoint, and a node whose offset rounds away
-    entirely is dropped (its transform weight is negligible by then).
-    Integrable endpoint singularities of log or inverse-power type are
-    handled without any special casing.
-    """
-    _check_tol(tol)
-    if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
-        raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
-    halfspan = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    scale = halfspan * _HALF_PI
-
-    def pair_sum(level: int, used: int) -> tuple[float, int]:
-        total = 0.0
-        comp = 0.0  # Kahan compensation; addition order is part of the contract
-        left_alive = True
-        right_alive = True
-        for ch, q, opsq, r in _tanh_sinh_level(level):
-            w = scale * ch * 4.0 * q / opsq
-            offset = halfspan * r
-            contribution = 0.0
-            if left_alive:
-                x = a + offset
-                if x <= a:
-                    left_alive = False  # node rounded onto the endpoint
-                else:
-                    used += 1
-                    contribution += w * f(x)
-            if right_alive:
-                x = b - offset
-                if x >= b:
-                    right_alive = False
-                else:
-                    used += 1
-                    contribution += w * f(x)
-            if not (left_alive or right_alive):
-                break
-            term = contribution - comp
-            fresh = total + term
-            comp = (fresh - total) - term
-            total = fresh
-        return total, used
-
-    return _refine(scale * f(mid), pair_sum, tol)
 
 
 def integrate_semi_infinite(

@@ -153,6 +153,20 @@ def test_table_bad_ranges(capsys):
     assert run_cli(["table", "--min", "2", "--max", "4", "--steps", "1"], capsys)[0] == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+@pytest.mark.parametrize(
+    "bounds, flag",
+    [(["--min", "1.5", "--max", "inf"], "--max"), (["--min=nan", "--max", "4"], "--min"),
+     (["--min=-inf", "--max", "4"], "--min")],
+)
+def test_table_non_finite_bound_names_its_flag(bounds, flag, spacing, capsys):
+    # an infinite span once reached the routes as n = nan (inf * 0) or inf
+    code, out, err = run_cli(["table", *bounds, "--steps", "3", "--spacing", spacing], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {flag}: ") and "finite" in err
+    assert out == ""
+
+
 def test_verify_all_passes(capsys):
     code, _, _ = run_cli(["verify", "--subject", "all", "--quiet"], capsys)
     assert code == cli.EXIT_OK

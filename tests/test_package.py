@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import logint
-from logint import quadrature, routes, special, specfun, verify
+from logint import quadrature, routes, special, specfun, tanh_sinh, verify
 
 SRC = os.path.dirname(os.path.dirname(logint.__file__))
 
@@ -55,7 +55,8 @@ def test_eval_path_loads_no_verifier_special_function_or_csv(command):
     loaded = imported_modules(*command, "--format", "csv")
     # the routes' kernels live in specfun; its public functions in special
     assert {"logint.routes", "logint.specfun"} <= loaded
-    assert not {"logint.verify", "logint.special", "csv"} & loaded
+    unused = {"logint.verify", "logint.special", "logint.cli_checks", "logint.tanh_sinh", "csv"}
+    assert not unused & loaded
 
 
 def test_verify_loads_the_verifiers_and_special_functions():
@@ -63,11 +64,20 @@ def test_verify_loads_the_verifiers_and_special_functions():
     assert {"logint.verify", "logint.special"} <= loaded
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--subject", "lemma3"],
+    ["limit", "--n-list", "10,100"],
+])
+def test_verify_and_limit_load_their_handlers(command):
+    assert "logint.cli_checks" in imported_modules(*command, "--format", "csv")
+
+
 def test_import_logint_loads_only_the_eval_path():
     # asking for a submodule name imports nothing either: the import
     # system asks for it before importing the submodule itself
     probe = (
         "import sys, logint; hasattr(logint, 'verify'); hasattr(logint, 'special'); "
+        "hasattr(logint, 'tanh_sinh'); hasattr(logint, 'cli_checks'); "
         "print(*sorted(m for m in sys.modules if m.startswith('logint')))"
     )
     loaded = run_python("-c", probe).stdout.split()
@@ -89,10 +99,21 @@ def test_each_export_comes_from_its_module():
             assert getattr(logint, name) is getattr(module, name), name
 
 
-@pytest.mark.parametrize("home, defining", [(routes, verify), (specfun, special)])
+@pytest.mark.parametrize(
+    "home, defining", [(routes, verify), (specfun, special), (quadrature, tanh_sinh)]
+)
 def test_moved_names_resolve_through_both_modules(home, defining):
     assert set(defining.__all__) <= set(home.__all__)
     for name in defining.__all__:
         assert getattr(home, name) is getattr(defining, name), name
     with pytest.raises(AttributeError):
         home.no_such_name
+
+
+def test_integrate_finite_is_one_object_from_a_cold_start():
+    probe = (
+        "import sys, logint; from logint.quadrature import integrate_finite as f; "
+        "t = sys.modules['logint.tanh_sinh']; "
+        "print(f is t.integrate_finite is logint.integrate_finite)"
+    )
+    assert run_python("-c", probe).stdout.split() == ["True"]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logint
-from logint import quadrature, routes, verify
+from logint import quadrature, routes, tanh_sinh, verify
 from logint.quadrature import integrate_bilateral, integrate_finite, integrate_semi_infinite
 from logint.routes import lemma1_integrand, numeric_I
 
@@ -365,9 +365,13 @@ def test_golden_outcomes_are_bit_identical(name):
 
 # ------------------------------------------------------ node-table cache
 
+# The module that holds each transform's node table and level builder.
+TABLE_HOMES = {"tanh_sinh": tanh_sinh, "exp_sinh": quadrature}
+
+
 @pytest.fixture
 def cold_cache(monkeypatch):
-    monkeypatch.setattr(quadrature, "_TANH_SINH", {})
+    monkeypatch.setattr(tanh_sinh, "_TANH_SINH", {})
     monkeypatch.setattr(quadrature, "_EXP_SINH", {})
 
 
@@ -377,19 +381,23 @@ def asked_levels(monkeypatch):
     asked = {"tanh_sinh": [], "exp_sinh": []}
     for transform, levels in asked.items():
         name = f"_{transform}_level"
+        home = TABLE_HOMES[transform]
 
-        def recorded(level, build=getattr(quadrature, name), levels=levels):
+        def recorded(level, build=getattr(home, name), levels=levels):
             levels.append(level)
             return build(level)
 
-        monkeypatch.setattr(quadrature, name, recorded)
+        monkeypatch.setattr(home, name, recorded)
     return asked
 
 
 def test_import_builds_no_level():
     src = os.path.dirname(os.path.dirname(logint.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import logint.quadrature as q; print(len(q._TANH_SINH), len(q._EXP_SINH))"
+    probe = (
+        "import logint.quadrature as q, logint.tanh_sinh as t; "
+        "print(len(t._TANH_SINH), len(q._EXP_SINH))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", "import logint; " + probe],
         capture_output=True, text=True, env=env, timeout=120,
@@ -414,7 +422,7 @@ def test_threads_on_a_cold_cache_match_a_serial_run(cold_cache):
     sys.setswitchinterval(1e-6)  # interleave the table builds as much as possible
     try:
         for _ in range(5):
-            quadrature._TANH_SINH.clear()
+            tanh_sinh._TANH_SINH.clear()
             quadrature._EXP_SINH.clear()
             start = threading.Barrier(8)
             results = [None] * 8
@@ -449,8 +457,9 @@ def test_level_cap_bounds_tables_and_evaluations(kind, cold_cache, asked_levels)
     outcome = run()
     assert not outcome.converged
     assert asked_levels[transform] == list(range(13))  # each level once, none above 12
-    assert sorted(getattr(quadrature, f"_{transform.upper()}")) == list(range(6))
-    build = getattr(quadrature, f"_{transform}_level")
+    home = TABLE_HOMES[transform]
+    assert sorted(getattr(home, f"_{transform.upper()}")) == list(range(6))
+    build = getattr(home, f"_{transform}_level")
     nodes = sum(len(build(level)) for level in range(13))
     assert outcome.evaluations <= calls_per_node * (1 + 2 * nodes)
 
@@ -459,7 +468,7 @@ def test_node_tables_stay_compact(cold_cache):
     tracemalloc.start()
     try:
         for level in range(6):
-            quadrature._tanh_sinh_level(level)
+            tanh_sinh._tanh_sinh_level(level)
             quadrature._exp_sinh_level(level)
         current, _ = tracemalloc.get_traced_memory()
     finally:
@@ -467,9 +476,9 @@ def test_node_tables_stay_compact(cold_cache):
     # built outside the measurement: a discarded level's tuples stay traced
     # in CPython's tuple free list
     for level in range(6, 13):
-        quadrature._tanh_sinh_level(level)
+        tanh_sinh._tanh_sinh_level(level)
         quadrature._exp_sinh_level(level)
-    assert sorted(quadrature._TANH_SINH) == sorted(quadrature._EXP_SINH) == list(range(6))
+    assert sorted(tanh_sinh._TANH_SINH) == sorted(quadrature._EXP_SINH) == list(range(6))
     assert current <= 1e5  # 73 kB measured for both transforms
 
 
