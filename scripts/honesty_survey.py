@@ -13,8 +13,8 @@ ratio |value - ref| / error estimate.  The families are:
   [0.1, 0.9], as ``verify_lemma1`` integrates it: folded at zero and
   taken in u = min(z, 1-z) t / 2 (one call of the scaled integrand per
   node);
-* known - twelve integrals with closed-form values, on all three
-  transforms (the bilateral engine through three of them).
+* known - twelve integrals with closed-form values, on all three entry
+  points (the bilateral one through three of them).
 
 It exits 1 if any converged outcome is dishonest.  Needs mpmath.
 

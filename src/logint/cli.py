@@ -44,6 +44,9 @@ LIMIT_FIELDS = ("n", "value", "residual", "residual_n2")
 
 _DEFAULT_SPREAD_THRESHOLD = 1e-6
 
+# The most rows one ``table`` builds; the whole grid is held in memory.
+_MAX_TABLE_STEPS = 1_000_000
+
 
 def _fmt17(value: float) -> str:
     # 17 significant digits round-trip any double exactly
@@ -137,6 +140,8 @@ def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
         )
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps!r}")
+    if steps > _MAX_TABLE_STEPS:
+        raise ValueError(f"--steps: at most {_MAX_TABLE_STEPS} rows, got {steps!r}")
     if spacing == "log":
         ratio, last = n_max / n_min, steps - 1
         # n_min * ratio**1.0 can round past n_max, even to inf; end on n_max

@@ -1,41 +1,39 @@
 """Deterministic double-exponential quadrature on plain Python floats.
 
-``integrate_semi_infinite`` applies the exp-sinh transform, which soaks up
-an integrable singularity at the lower limit and the unbounded tail
-without any subdivision logic, and ``integrate_bilateral`` folds the real
-line at zero into one half-line integral of f(t) + f(-t).  Every route
-integral runs on these two.  ``integrate_finite``, the tanh-sinh analogue
-for finite intervals, is defined in ``tanh_sinh``, which no route calls:
-``__getattr__`` imports it on first access and binds the name here, so
-``quadrature.integrate_finite`` works as ever while ``logint eval`` and
-``logint table`` never compile it.  Both transforms share the
-level-doubling loop, the error estimate and the ``tol`` rule below.
+There is one engine: ``integrate_semi_infinite`` applies the exp-sinh
+transform, which soaks up an integrable singularity at the lower limit
+and the unbounded tail without any subdivision logic.  The two other
+entry points are changes of variables on it.  ``integrate_bilateral``
+folds the real line at zero into one half-line integral of f(t) + f(-t).
+``integrate_finite`` maps (0, inf) onto (a, b) by
+x = a + (b - a) u^2/(1 + u^2); on the exp-sinh nodes u = exp((pi/2) sinh t)
+that gives x = mid + halfspan * tanh((pi/2) sinh t) and the tanh-sinh
+weights, so it is the tanh-sinh rule walked on the exp-sinh ladder.  Every
+route integral runs on the semi-infinite and bilateral entry points.
 
 Refinement halves the trapezoid step once per level.  The nodes of a level
-do not depend on the interval, so each transform keeps one list of row
-tuples per level, and only the products with the interval (weight scale,
-abscissa offset) are formed per call.  Levels 0 to _LAST_CACHED_LEVEL = 5
-are built on first use and cached (about 73 kB for both transforms): every
-route integral (numeric_I, the lemma1 integrals) converges by level 5 at
-any tol from 1e-6 to 1e-15.  A finer level is built again on each pass
-that asks for it, 10 to 14 ms per call for levels 6 to 12 together, a
-cost only calls that walk past level 5 pay.  Nodes are visited in a fixed
-center-outward order, abscissas are formed as offsets from the nearest
-endpoint (so no precision is lost next to a singularity), partial sums use
-compensated (Kahan) accumulation in that same order, and the error
-estimate extrapolates from the last three level-to-level differences,
-floored at machine precision of max(1, |value|).  Identical inputs
-therefore produce bit-identical outcomes, whether or not a level was
-cached.  A non-finite value or error estimate is never reported as
-converged.
+do not depend on the integrand, so the engine keeps one list of row tuples
+per level.  Levels 0 to _LAST_CACHED_LEVEL = 5 are built on first use and
+cached (about 39 kB): every route integral (numeric_I, the lemma1
+integrals) converges by level 5 at any tol from 1e-6 to 1e-15.  A finer
+level is built again on each pass that asks for it, a cost only calls
+that walk past level 5 pay.  Nodes are visited in a fixed center-outward
+order, abscissas are formed as offsets from the nearest endpoint (so no
+precision is lost next to a singularity), partial sums use compensated
+(Kahan) accumulation in that same order, and the error estimate
+extrapolates from the last three level-to-level differences, floored at
+machine precision of max(1, |value|).  Identical inputs therefore produce
+bit-identical outcomes, whether or not a level was cached.  A non-finite
+value or error estimate is never reported as converged.
 
-Each side of a level's node ladder ends on its own: a tanh-sinh side once
-its abscissa rounds onto the endpoint, an exp-sinh side once two
-consecutive contributions fall to eps times the pass's running sum of
-|contribution|, a bound that halves per level from level _MIN_LEVEL on (or
-once the far abscissa overflows, or the near one rounds onto a).  Mass
-that lies behind such a gap, past two nodes that are negligible on that
-scale, is missed.
+Each side of a level's node ladder ends on its own, once two consecutive
+contributions fall to eps times the pass's running sum of |contribution|,
+a bound that halves per level from level _MIN_LEVEL on (or once the far
+abscissa overflows, or the near one rounds onto the lower limit).  The
+limit: mass behind a gap of two nodes that are negligible on that scale
+is missed.  For ``integrate_finite`` the sides run from the midpoint to a
+and to b, so the mass of a piecewise integrand behind a zero plateau next
+to the midpoint can be missed.
 
 The one setting is ``tol``: a call converges once its error estimate is
 at most tol * max(1, |value|), from level _MIN_LEVEL on.  Refinement stops
@@ -55,21 +53,6 @@ __all__ = [
     "integrate_semi_infinite",
     "integrate_bilateral",
 ]
-
-
-def __getattr__(name: str) -> object:
-    """Import ``tanh_sinh`` for ``integrate_finite`` and bind it here.
-
-    The only name in ``__all__`` that this module does not define; any
-    other missing name is an AttributeError, as usual.
-    """
-    if name != "integrate_finite":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .tanh_sinh import integrate_finite
-
-    globals()[name] = integrate_finite
-    return integrate_finite
-
 
 _EPS = sys.float_info.epsilon
 _HALF_PI = math.pi / 2.0
@@ -94,10 +77,10 @@ class QuadratureOutcome(NamedTuple):
     converged: bool
 
 
-# Node tables, one per level; the tanh-sinh one is ``tanh_sinh._TANH_SINH``.
-# Level 0 holds k = 1, 2, ... at h = 1; level L >= 1 holds the odd k at
-# h = 2^-L.  A table is a list of row tuples of what does not depend on the
-# interval, so a pass walks it without boxing a new float per node.
+# The node table, one list per level.  Level 0 holds k = 1, 2, ... at
+# h = 1; level L >= 1 holds the odd k at h = 2^-L.  A level is a list of row
+# tuples of what does not depend on the integrand, so a pass walks it
+# without boxing a new float per node.
 # Threads that race to build a level build identical tables, so setdefault
 # is all the locking needed.
 _Row = tuple[float, float, float, float]
@@ -138,7 +121,7 @@ def _refine(
     pair_sum: Callable[[int, int], tuple[float, int]],
     tol: float,
 ) -> QuadratureOutcome:
-    """Shared level-doubling loop: halve h, reuse the previous sum.
+    """The level-doubling loop: halve h, reuse the previous sum.
 
     ``pair_sum(level, used)`` walks one level's nodes and returns their
     weighted sum and the evaluation count so far.  The loop stops, not
@@ -274,3 +257,54 @@ def integrate_bilateral(
     """
     folded = integrate_semi_infinite(lambda t: f(t) + f(-t), 0.0, tol)
     return folded._replace(evaluations=2 * folded.evaluations)
+
+
+def integrate_finite(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: float = 1e-10,
+) -> QuadratureOutcome:
+    """Integrate f over the open interval (a, b), with a, b and b - a finite.
+
+    Implemented as one exp-sinh integral over u in (0, inf) by the change
+    of variables x = a + (b - a) u^2/(1 + u^2), which yields the tanh-sinh
+    nodes and weights.  u <= 1 maps onto the left half as offsets from a;
+    u > 1 maps onto the right half through r = 1/u as offsets from b, so
+    no precision is lost next to either endpoint.  Integrable endpoint
+    singularities of log or inverse-power type need no special casing.
+    The endpoints themselves are never passed to f: a node whose offset
+    rounds away entirely contributes 0 and is not counted, so the
+    evaluation count is in calls of f.
+
+    The stop rule is the exp-sinh one: each side (toward a, toward b)
+    ends after two consecutive contributions at most eps times the running
+    sum of |contribution| over the level's pass.  The limit: mass behind a
+    gap of two nodes that are negligible on that scale is missed, such as
+    the mass of a piecewise integrand behind a zero plateau next to the
+    midpoint.
+    """
+    _check_tol(tol)
+    span = b - a
+    if not (a < b and math.isfinite(span)):
+        raise ValueError(f"need finite a < b with finite b - a, got a={a!r}, b={b!r}")
+    skipped = 0
+
+    def mapped(u: float) -> float:
+        nonlocal skipped
+        if u <= 1.0:
+            s = u * u
+            x = a + span * (s / (1.0 + s))
+            slope = 2.0 * u
+        else:
+            r = 1.0 / u
+            s = r * r
+            x = b - span * (s / (1.0 + s))
+            slope = 2.0 * r * s
+        if not a < x < b:
+            skipped += 1
+            return 0.0
+        return span * (slope / ((1.0 + s) * (1.0 + s))) * f(x)
+
+    outcome = integrate_semi_infinite(mapped, 0.0, tol)
+    return outcome._replace(evaluations=outcome.evaluations - skipped)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -165,6 +166,24 @@ def test_table_non_finite_bound_names_its_flag(bounds, flag, spacing, capsys):
     assert code == cli.EXIT_USAGE
     assert err.startswith(f"error: {flag}: ") and "finite" in err
     assert out == ""
+
+
+def test_table_steps_above_the_bound_exit_2_at_once():
+    # the grid is built whole before any row is printed: without a bound
+    # this allocates until it is killed, so the child gets 1 GiB of address
+    # space and fails fast instead
+    src = os.path.dirname(os.path.dirname(logint.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "logint", "table", "--min", "1.5", "--max", "4",
+         "--steps", "100000000000"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --steps: ") and str(cli._MAX_TABLE_STEPS) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_all_passes(capsys):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import logint
-from logint import quadrature, routes, special, specfun, tanh_sinh, verify
+from logint import quadrature, routes, special, specfun, verify
 
 SRC = os.path.dirname(os.path.dirname(logint.__file__))
 
@@ -55,7 +55,7 @@ def test_eval_path_loads_no_verifier_special_function_or_csv(command):
     loaded = imported_modules(*command, "--format", "csv")
     # the routes' kernels live in specfun; its public functions in special
     assert {"logint.routes", "logint.specfun"} <= loaded
-    unused = {"logint.verify", "logint.special", "logint.cli_checks", "logint.tanh_sinh", "csv"}
+    unused = {"logint.verify", "logint.special", "logint.cli_checks", "csv"}
     assert not unused & loaded
 
 
@@ -77,7 +77,7 @@ def test_import_logint_loads_only_the_eval_path():
     # system asks for it before importing the submodule itself
     probe = (
         "import sys, logint; hasattr(logint, 'verify'); hasattr(logint, 'special'); "
-        "hasattr(logint, 'tanh_sinh'); hasattr(logint, 'cli_checks'); "
+        "hasattr(logint, 'cli_checks'); "
         "print(*sorted(m for m in sys.modules if m.startswith('logint')))"
     )
     loaded = run_python("-c", probe).stdout.split()
@@ -97,11 +97,11 @@ def test_each_export_comes_from_its_module():
     for module in (specfun, quadrature, routes):
         for name in module.__all__:
             assert getattr(logint, name) is getattr(module, name), name
+    with pytest.raises(AttributeError):
+        quadrature.no_such_name
 
 
-@pytest.mark.parametrize(
-    "home, defining", [(routes, verify), (specfun, special), (quadrature, tanh_sinh)]
-)
+@pytest.mark.parametrize("home, defining", [(routes, verify), (specfun, special)])
 def test_moved_names_resolve_through_both_modules(home, defining):
     assert set(defining.__all__) <= set(home.__all__)
     for name in defining.__all__:
@@ -112,8 +112,7 @@ def test_moved_names_resolve_through_both_modules(home, defining):
 
 def test_integrate_finite_is_one_object_from_a_cold_start():
     probe = (
-        "import sys, logint; from logint.quadrature import integrate_finite as f; "
-        "t = sys.modules['logint.tanh_sinh']; "
-        "print(f is t.integrate_finite is logint.integrate_finite)"
+        "import logint; from logint.quadrature import integrate_finite as f; "
+        "print(f is logint.integrate_finite)"
     )
     assert run_python("-c", probe).stdout.split() == ["True"]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logint
-from logint import quadrature, routes, tanh_sinh, verify
+from logint import quadrature, routes, verify
 from logint.quadrature import integrate_bilateral, integrate_finite, integrate_semi_infinite
 from logint.routes import lemma1_integrand, numeric_I
 
@@ -131,7 +131,25 @@ def test_endpoints_are_never_sampled():
 
     outcome = integrate_finite(picky, 0.0, 1.0)
     assert outcome.converged
+    assert outcome.evaluations == len(seen)
     assert min(seen) > 0.0 and max(seen) < 1.0
+
+
+# Next to a non-zero endpoint the offsets round away, so nodes land on a
+# and on b; they must be skipped and left out of the evaluation count.
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 2.0), (-2.0, -1.0)])
+def test_endpoint_nodes_are_skipped_and_not_counted(a, b):
+    seen = []
+
+    def picky(x):
+        assert a < x < b, f"sampled endpoint {x!r}"
+        seen.append(x)
+        return x
+
+    outcome = integrate_finite(picky, a, b)  # 1.5 on (1, 2)
+    assert outcome.converged
+    assert outcome.evaluations == len(seen)
+    assert abs(outcome.value - 0.5 * (b * b - a * a)) <= 10.0 * outcome.error_estimate
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
@@ -163,6 +181,10 @@ def test_invalid_intervals_rejected():
         integrate_finite(math.sin, 0.0, math.inf)
     with pytest.raises(ValueError):
         integrate_semi_infinite(math.sin, math.nan)
+    calls = []
+    with pytest.raises(ValueError):
+        integrate_finite(calls.append, -1e308, 1e308)  # b - a overflows
+    assert calls == []
 
 
 TOL_TAKERS = {
@@ -328,14 +350,16 @@ GOLDEN_RUNS = {
 # level 3) and route 4's expm1 integrand, taken in u = (n-1)s for n < 2
 # (the n < 2 entries; n = 3, 100 and 600 pin the unscaled path); any change
 # to the node tables, the summation order, the stop rules, the estimate or
-# route 4's integrand must be re-recorded here on purpose.  Levels 0-5 are
-# cached and finer levels are built again per pass: the converged runs stop
-# on cached levels, and the two capped runs walk levels 6-12 of each
-# transform, so both sides of that boundary are pinned.
+# route 4's integrand must be re-recorded here on purpose.  The finite
+# entries run on the exp-sinh ladder through the map
+# x = a + (b - a) u^2/(1 + u^2).  Levels 0-5 are cached and finer levels are
+# built again per pass: the converged runs stop on cached levels, and the
+# two capped runs walk levels 6-12, so both sides of that boundary are
+# pinned.
 GOLDEN = {
-    "finite log (0,1)": ("-0x1.0000000000000p+0", "0x1.0000000000000p-52", 75, True),
-    "finite wiggle (0.1,2.3)": ("0x1.f3aa3d26248f4p+2", "0x1.dff9f73178472p-35", 51, True),
-    "finite x^2 (-1,2)": ("0x1.8000000000000p+1", "0x1.92466e5c52393p-45", 51, True),
+    "finite log (0,1)": ("-0x1.0000000000000p+0", "0x1.0000000000000p-52", 59, True),
+    "finite wiggle (0.1,2.3)": ("0x1.f3aa3d26248f4p+2", "0x1.dff9f687d8731p-35", 51, True),
+    "finite x^2 (-1,2)": ("0x1.8000000000000p+1", "0x1.924688d99a39fp-45", 51, True),
     "semi exp(-x) (0,inf)": ("0x1.0000000000000p+0", "0x1.f6fe90a4fe1bcp-43", 108, True),
     "semi x^-2 (2.5,inf)": ("0x1.9999999999999p-2", "0x1.0000000000000p-52", 70, True),
     "bilateral lemma1(2,0.35)": ("0x1.3e6685d69753cp+5", "0x1.3334b076e2e7cp-45", 334, True),
@@ -343,7 +367,7 @@ GOLDEN = {
     "semi lemma1(2,0.35)": ("0x1.3e6685d69753cp+5", "0x1.2178d06017d9ep-35", 88, True),
     "semi lemma1(3,0.35)": ("0x1.b485c67071d78p+8", "0x1.3adcc08817cf3p-27", 88, True),
     "semi exp(-x) capped": ("0x1.0000000000000p+0", "0x1.0000000000000p-52", 22479, False),
-    "finite sin (0,pi) capped": ("0x1.0000000000000p+1", "0x1.0000000000000p-51", 38208, False),
+    "finite sin (0,pi) capped": ("0x1.0000000000000p+1", "0x1.0000000000000p-51", 20785, False),
     "numeric_I 1+2^-52": ("0x1.0000000000000p+104", "0x1.7deb8ba059a86p+68", 96, True),
     "numeric_I 1.001": ("0x1.e847cb7790d81p+19", "0x1.7333977ef04fep-16", 92, True),
     "numeric_I 1.5": ("0x1.76505acbb952fp+1", "0x1.892676eb47bf9p-34", 90, True),
@@ -365,45 +389,35 @@ def test_golden_outcomes_are_bit_identical(name):
 
 # ------------------------------------------------------ node-table cache
 
-# The module that holds each transform's node table and level builder.
-TABLE_HOMES = {"tanh_sinh": tanh_sinh, "exp_sinh": quadrature}
-
-
 @pytest.fixture
 def cold_cache(monkeypatch):
-    monkeypatch.setattr(tanh_sinh, "_TANH_SINH", {})
     monkeypatch.setattr(quadrature, "_EXP_SINH", {})
 
 
 @pytest.fixture
 def asked_levels(monkeypatch):
-    """The levels the passes ask each transform for, in call order."""
-    asked = {"tanh_sinh": [], "exp_sinh": []}
-    for transform, levels in asked.items():
-        name = f"_{transform}_level"
-        home = TABLE_HOMES[transform]
+    """The levels the passes ask the node table for, in call order."""
+    asked = []
+    build = quadrature._exp_sinh_level
 
-        def recorded(level, build=getattr(home, name), levels=levels):
-            levels.append(level)
-            return build(level)
+    def recorded(level):
+        asked.append(level)
+        return build(level)
 
-        monkeypatch.setattr(home, name, recorded)
+    monkeypatch.setattr(quadrature, "_exp_sinh_level", recorded)
     return asked
 
 
 def test_import_builds_no_level():
     src = os.path.dirname(os.path.dirname(logint.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = (
-        "import logint.quadrature as q, logint.tanh_sinh as t; "
-        "print(len(t._TANH_SINH), len(q._EXP_SINH))"
-    )
+    probe = "import logint.quadrature as q; print(len(q._EXP_SINH))"
     proc = subprocess.run(
         [sys.executable, "-c", "import logint; " + probe],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0"]
 
 
 # The capped runs walk levels 6-12, which every pass builds for itself.
@@ -422,7 +436,6 @@ def test_threads_on_a_cold_cache_match_a_serial_run(cold_cache):
     sys.setswitchinterval(1e-6)  # interleave the table builds as much as possible
     try:
         for _ in range(5):
-            tanh_sinh._TANH_SINH.clear()
             quadrature._EXP_SINH.clear()
             start = threading.Barrier(8)
             results = [None] * 8
@@ -445,22 +458,20 @@ def test_threads_on_a_cold_cache_match_a_serial_run(cold_cache):
 # Each run asks for more accuracy than roundoff allows (|I| >= 1), so it
 # walks every level up to the cap.
 CAPPED_RUNS = {
-    "finite": (lambda: integrate_finite(math.sin, 0.0, math.pi, 1e-16), "tanh_sinh", 1),
-    "semi": (lambda: integrate_semi_infinite(lambda x: math.exp(-x), 0.0, 1e-16), "exp_sinh", 1),
-    "bilateral": (lambda: integrate_bilateral(lambda t: math.exp(-t * t), 1e-16), "exp_sinh", 2),
+    "finite": (lambda: integrate_finite(math.sin, 0.0, math.pi, 1e-16), 1),
+    "semi": (lambda: integrate_semi_infinite(lambda x: math.exp(-x), 0.0, 1e-16), 1),
+    "bilateral": (lambda: integrate_bilateral(lambda t: math.exp(-t * t), 1e-16), 2),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(CAPPED_RUNS))
 def test_level_cap_bounds_tables_and_evaluations(kind, cold_cache, asked_levels):
-    run, transform, calls_per_node = CAPPED_RUNS[kind]
+    run, calls_per_node = CAPPED_RUNS[kind]
     outcome = run()
     assert not outcome.converged
-    assert asked_levels[transform] == list(range(13))  # each level once, none above 12
-    home = TABLE_HOMES[transform]
-    assert sorted(getattr(home, f"_{transform.upper()}")) == list(range(6))
-    build = getattr(home, f"_{transform}_level")
-    nodes = sum(len(build(level)) for level in range(13))
+    assert asked_levels == list(range(13))  # each level once, none above 12
+    assert sorted(quadrature._EXP_SINH) == list(range(6))
+    nodes = sum(len(quadrature._exp_sinh_level(level)) for level in range(13))
     assert outcome.evaluations <= calls_per_node * (1 + 2 * nodes)
 
 
@@ -468,7 +479,6 @@ def test_node_tables_stay_compact(cold_cache):
     tracemalloc.start()
     try:
         for level in range(6):
-            tanh_sinh._tanh_sinh_level(level)
             quadrature._exp_sinh_level(level)
         current, _ = tracemalloc.get_traced_memory()
     finally:
@@ -476,10 +486,9 @@ def test_node_tables_stay_compact(cold_cache):
     # built outside the measurement: a discarded level's tuples stay traced
     # in CPython's tuple free list
     for level in range(6, 13):
-        tanh_sinh._tanh_sinh_level(level)
         quadrature._exp_sinh_level(level)
-    assert sorted(tanh_sinh._TANH_SINH) == sorted(quadrature._EXP_SINH) == list(range(6))
-    assert current <= 1e5  # 73 kB measured for both transforms
+    assert sorted(quadrature._EXP_SINH) == list(range(6))
+    assert current <= 5e4  # 39.2 kB measured
 
 
 # The cache is sized for the levels the route integrals walk: route 4 over
@@ -493,4 +502,4 @@ def test_route_integrals_walk_only_cached_levels(asked_levels):
             numeric_I(n, tol)
         for m in (1, 2, 3):
             routes.verify_lemma1(m, quad_tol=tol)
-    assert max(asked_levels["exp_sinh"]) <= quadrature._LAST_CACHED_LEVEL
+    assert max(asked_levels) <= quadrature._LAST_CACHED_LEVEL
