@@ -13,18 +13,24 @@ route integral runs on the semi-infinite and bilateral entry points.
 
 Refinement halves the trapezoid step once per level.  The nodes of a level
 do not depend on the integrand, so the engine keeps one list of row tuples
-per level.  Levels 0 to _LAST_CACHED_LEVEL = 5 are built on first use and
-cached (about 39 kB): every route integral (numeric_I, the lemma1
-integrals) converges by level 5 at any tol from 1e-6 to 1e-15.  A finer
-level is built again on each pass that asks for it, a cost only calls
-that walk past level 5 pay.  Nodes are visited in a fixed center-outward
-order, abscissas are formed as offsets from the nearest endpoint (so no
-precision is lost next to a singularity), partial sums use compensated
-(Kahan) accumulation in that same order, and the error estimate
-extrapolates from the last three level-to-level differences, floored at
-machine precision of max(1, |value|).  Identical inputs therefore produce
-bit-identical outcomes, whether or not a level was cached.  A non-finite
-value or error estimate is never reported as converged.
+per level, and with it where each side's range ends over a lower limit of
+0: the row where the far weight stops being finite and the row where the
+near weight reaches 0.  Both are found while the level is built.  A pass
+walks the rows where both sides are in range with no range tests, then
+the side still going alone; a lower limit a != 0 shifts the abscissas and
+finds its own near end once per pass.  Levels 0 to _LAST_CACHED_LEVEL = 5
+are built on first use and cached (about 40 kB): every route integral
+(numeric_I, the lemma1 integrals) converges by level 5 at any tol from
+1e-6 to 1e-15.  A finer level is built again on each pass that asks for
+it, a cost only calls that walk past level 5 pay.  Nodes are visited in a
+fixed center-outward order, abscissas are formed as offsets from the
+nearest endpoint (so no precision is lost next to a singularity), partial
+sums use compensated (Kahan) accumulation in that same order, and the
+error estimate extrapolates from the last three level-to-level
+differences, floored at machine precision of max(1, |value|).  Identical
+inputs therefore produce bit-identical outcomes, whether or not a level
+was cached.  A non-finite value or error estimate is never reported as
+converged.
 
 Each side of a level's node ladder ends on its own, once two consecutive
 contributions fall to eps times the pass's running sum of |contribution|,
@@ -45,6 +51,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import count
+from operator import length_hint
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -77,38 +84,67 @@ class QuadratureOutcome(NamedTuple):
     converged: bool
 
 
-# The node table, one list per level.  Level 0 holds k = 1, 2, ... at
-# h = 1; level L >= 1 holds the odd k at h = 2^-L.  A level is a list of row
-# tuples of what does not depend on the integrand, so a pass walks it
-# without boxing a new float per node.
+# The node table, one record per level.  Level 0 holds k = 1, 2, ... at
+# h = 1; level L >= 1 holds the odd k at h = 2^-L.  A record is a list of
+# row tuples of what does not depend on the integrand, so a pass walks it
+# without boxing a new float per node, and the two range ends of a pass with
+# lower limit 0: the far side runs over rows[:far_end], the near side over
+# rows[:near_end].
 # Threads that race to build a level build identical tables, so setdefault
 # is all the locking needed.
 _Row = tuple[float, float, float, float]
-_EXP_SINH: dict[int, list[_Row]] = {}
+_Level = tuple[list[_Row], list[_Row], int, int]
+_EXP_SINH: dict[int, _Level] = {}
 
 
-def _exp_sinh_level(level: int) -> list[_Row]:
-    """Rows (base*grow, grow, base*decay, decay), up to where both die.
+def _exp_sinh_level(level: int) -> _Level:
+    """Rows (base*grow, grow, base*decay, decay) and where each side ends.
 
-    Past y = 709 exp(y) would overflow, so grow is stored as inf there and
-    the far side stops on its non-finite weight; the table ends where the
-    near weight underflows to zero as well.
+    Past y = 709 exp(y) would overflow, so grow is stored as inf there; the
+    far side ends at the first row whose weight base*grow is not finite.
+    The near side ends at the first row whose weight base*decay is 0: there
+    decay, its abscissa over a lower limit of 0, has underflowed.  The table
+    ends where both sides have.
     """
     table = _EXP_SINH.get(level)
     if table is not None:
         return table
     h = 0.5**level
     rows = []
+    far_end = near_end = -1
     for k in count(1, 2 if level else 1):
         t = k * h
         y = _HALF_PI * math.sinh(t)
         base = _HALF_PI * math.cosh(t)
         grow = math.exp(y) if y <= 709.0 else math.inf
         decay = math.exp(-y)
-        if base * decay == 0.0 and not math.isfinite(base * grow):
+        far_w = base * grow
+        near_w = base * decay
+        if far_end < 0 and not math.isfinite(far_w):
+            far_end = len(rows)
+        if near_end < 0 and near_w == 0.0:
+            near_end = len(rows)
+        if far_end >= 0 and near_end >= 0:
             break
-        rows.append((base * grow, grow, base * decay, decay))
-    return rows if level > _LAST_CACHED_LEVEL else _EXP_SINH.setdefault(level, rows)
+        rows.append((far_w, grow, near_w, decay))
+    table = (rows, rows[: min(far_end, near_end)], far_end, near_end)
+    return table if level > _LAST_CACHED_LEVEL else _EXP_SINH.setdefault(level, table)
+
+
+def _shifted_level(level: int, a: float) -> _Level:
+    """The level's rows with abscissas a + grow and a + decay, and its ends.
+
+    The near side also ends where a + decay rounds onto a.  The far side
+    ends where it does over 0: grow <= e^709 and |a| <= 2^53, so a + grow
+    is finite on every row whose weight is.
+    """
+    rows, _, far_end, near_end = _exp_sinh_level(level)
+    shifted = [(far_w, a + grow, near_w, a + decay) for far_w, grow, near_w, decay in rows]
+    for k in range(near_end):
+        if shifted[k][3] <= a:
+            near_end = k
+            break
+    return shifted, shifted[: min(far_end, near_end)], far_end, near_end
 
 
 def _check_tol(tol: float) -> None:
@@ -173,7 +209,10 @@ def integrate_semi_infinite(
 
     The exp-sinh change of variables x = a + exp((pi/2) sinh t) compresses
     both the approach to a and the unbounded tail double-exponentially.
-    An integrable singularity at a is fine; a is never sampled.
+    An integrable singularity at a is fine; a is never sampled.  So a must
+    be finite with a + 1 > a, that is -2^53 <= a < 2^53: beyond, the
+    center node a + 1 rounds onto a, and ValueError is raised before f is
+    called.
 
     Within a level each side walks outward until two consecutive
     contributions are at most eps times the running sum of |contribution|
@@ -185,63 +224,74 @@ def integrate_semi_infinite(
     negligible on that scale is missed.
     """
     _check_tol(tol)
-    if not math.isfinite(a):
-        raise ValueError(f"lower limit must be finite, got {a!r}")
+    center = a + 1.0
+    if not a < center < math.inf:  # a + 1 rounding onto a would sample a
+        raise ValueError(f"lower limit must be finite with a + 1 > a, got {a!r}")
+
+    nodes = _exp_sinh_level if a == 0.0 else lambda level: _shifted_level(level, a)
 
     def pair_sum(level: int, used: int) -> tuple[float, int]:
+        rows, both, far_end, near_end = nodes(level)
         total = 0.0
         comp = 0.0  # Kahan compensation; addition order is part of the contract
-        near_alive = True  # t < 0, x slides down to a
-        far_alive = True  # t > 0, x runs to infinity
         l1 = 0.0  # sum of |contribution| over the pass, both sides
         # The tail past a cut holds twice as many terms per level; halving
         # the bound from _MIN_LEVEL on keeps the mass it drops from growing.
-        cut = _EPS * 0.5 ** max(0, level - _MIN_LEVEL)
-        near_tiny = 0
-        far_tiny = 0
-        for far_w, grow, near_w, decay in _exp_sinh_level(level):
-            contribution = 0.0
-            if far_alive:
-                x = a + grow
-                if not (math.isfinite(far_w) and math.isfinite(x)):
-                    far_alive = False  # beyond representable range
-                else:
-                    used += 1
-                    c = far_w * f(x)
-                    size = abs(c)
-                    l1 += size
-                    if size <= cut * l1:
-                        far_tiny += 1
-                        if far_tiny >= 2:
-                            far_alive = False
-                    else:
-                        far_tiny = 0
-                    contribution += c
-            if near_alive:
-                x = a + decay
-                if x <= a or near_w == 0.0:
-                    near_alive = False  # node rounded onto the endpoint
-                else:
-                    used += 1
-                    c = near_w * f(x)
-                    size = abs(c)
-                    l1 += size
-                    if size <= cut * l1:
-                        near_tiny += 1
-                        if near_tiny >= 2:
-                            near_alive = False
-                    else:
-                        near_tiny = 0
-                    contribution += c
-            if not (near_alive or far_alive):
-                break
-            term = contribution - comp
+        cut = _EPS * 0.5 ** (level - _MIN_LEVEL) if level > _MIN_LEVEL else _EPS
+        far_tiny = 0  # t > 0, x runs to infinity
+        near_tiny = 0  # t < 0, x slides down to a
+        # Both sides, until one of them goes quiet or runs out of range.
+        walk = iter(both)
+        for far_w, far_x, near_w, near_x in walk:
+            c = far_w * f(far_x)
+            size = abs(c)
+            l1 += size
+            if size <= cut * l1:
+                far_tiny += 1
+            else:
+                far_tiny = 0
+            d = near_w * f(near_x)
+            size = abs(d)
+            l1 += size
+            if size <= cut * l1:
+                near_tiny += 1
+            else:
+                near_tiny = 0
+            if far_tiny >= 2 and near_tiny >= 2:
+                break  # both stop on this row, and it is dropped
+            term = (c + d) - comp
             fresh = total + term
             comp = (fresh - total) - term
             total = fresh
-        return total, used
+            if far_tiny >= 2 or near_tiny >= 2:
+                break
+        start = len(both) - length_hint(walk)  # rows walked, the last included
+        used += 2 * start
+        # Then the side still going, alone, up to its own range end.
+        if far_tiny < 2 and far_end > start:
+            side, end, tiny = 0, far_end, far_tiny
+        elif near_tiny < 2 and near_end > start:
+            side, end, tiny = 2, near_end, near_tiny
+        else:
+            return total, used
+        walk = iter(rows[start:end])
+        for row in walk:
+            c = row[side] * f(row[side + 1])
+            size = abs(c)
+            l1 += size
+            if size <= cut * l1:
+                tiny += 1
+                if tiny >= 2:
+                    break  # the last side stops: its row is dropped
+            else:
+                tiny = 0
+            term = c - comp
+            fresh = total + term
+            comp = (fresh - total) - term
+            total = fresh
+        return total, used + (end - start) - length_hint(walk)
 
-    return _refine(_HALF_PI * f(a + 1.0), pair_sum, tol)
+    return _refine(_HALF_PI * f(center), pair_sum, tol)
 
 
 def integrate_bilateral(

@@ -191,14 +191,15 @@ def _lemma1_scaled(m: int, z: float) -> Callable[[float], float]:
     exactly 0.  Forming c z and c (1-z) apart instead would round them
     separately and lose about 1/|1 - 2z| of the bracket's precision.  c^m
     is applied last, by multiplication, so no intermediate overflows and
-    nothing raises; where E is 0 the value is 0.
+    nothing raises; where E is 0 the value is 0.  u^(m-1) is multiplied
+    out rather than taken by pow: for m = 3, u * u equals u**2 on every
+    node of the cached levels, though not on every double.
     """
     _check_lemma1(m, z)
     w = 1.0 - z
     lo = min(z, w)
     scale = 2.0 / lo
     rate = abs(w - z) / lo
-    power = m - 1
     # the bracket is E (base + slope D)
     if m % 2:
         base, slope = 2.0, 1.0
@@ -213,7 +214,12 @@ def _lemma1_scaled(m: int, z: float) -> Callable[[float], float]:
             return 0.0
         t = scale * u
         bracket = e * (base + slope * math.expm1(decay * u))
-        return u**power * (t / -math.expm1(-t)) * bracket * factor
+        ratio = t / -math.expm1(-t)
+        if m == 1:
+            return ratio * bracket * factor
+        if m == 2:
+            return u * ratio * bracket * factor
+        return u * u * ratio * bracket * factor
 
     return scaled
 

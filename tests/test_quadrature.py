@@ -16,7 +16,7 @@ from logint import quadrature, routes, verify
 from logint.quadrature import integrate_bilateral, integrate_finite, integrate_semi_infinite
 from logint.routes import lemma1_integrand, numeric_I
 
-from oracles import zeta_partial
+from oracles import reference_semi_infinite, zeta_partial
 
 
 def guarded_half_exponential(t):
@@ -184,6 +184,22 @@ def test_invalid_intervals_rejected():
     calls = []
     with pytest.raises(ValueError):
         integrate_finite(calls.append, -1e308, 1e308)  # b - a overflows
+    assert calls == []
+
+
+# Over |a| >= 2^53, a + 1 rounds onto a, so the center node would be a
+# itself: the call must refuse before f is ever called.
+@pytest.mark.parametrize("a", [1e17, -1e17, 2.0**53, 1e16, 1e300])
+def test_lower_limit_that_a_plus_one_rounds_onto_is_rejected(a):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.exp(-(x - a)) / math.sqrt(x - a)
+
+    with pytest.raises(ValueError) as rejected:
+        integrate_semi_infinite(f, a)
+    assert repr(a) in str(rejected.value)
     assert calls == []
 
 
@@ -387,6 +403,107 @@ def test_golden_outcomes_are_bit_identical(name):
     assert outcome.converged is converged
 
 
+# --------------------------------------- the pass against its reference
+
+def _recorded(f):
+    """f, and the list of every x it is called with, in call order."""
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    return g, seen
+
+
+def _bits(outcome):
+    return (
+        outcome.value.hex(),
+        outcome.error_estimate.hex(),
+        outcome.evaluations,
+        outcome.converged,
+    )
+
+
+def _tail_nan(x):
+    return math.nan if x > 5.0 else math.exp(-x)
+
+
+def _spike_inf(x):
+    return math.inf if x < 1e-3 else math.exp(-x)
+
+
+def _shifted_lorentzian(x):
+    s = x - 2.0**52
+    return 1.0 / (1.0 + s * s)
+
+
+# (f, a).  The lemma1 integrands are the ones verify_lemma1 integrates.
+# Where a + decay rounds onto a the near side runs out of range: about half
+# way out over a = 2.5 and -3.0, on the first rows over 2^52, and next to
+# where it does over 0 for 1e-300.  exp(-1/x - x) goes quiet next to 0
+# first, so its far side walks on alone.  The rest return 0.0, -0.0, nan,
+# inf, or flip sign.
+PASS_CASES = {
+    **{
+        f"lemma1({m},{z})": (verify._lemma1_scaled(m, z), 0.0)
+        for m in (1, 2, 3)
+        for z in (1e-5, 0.35, 0.5)
+    },
+    "x^-2 over 2.5": (lambda x: 1.0 / (x * x), 2.5),
+    "exp over -3": (lambda x: math.exp(-(x + 3.0)), -3.0),
+    "exp/sqrt over 1e-300": (lambda x: math.exp(-x) / math.sqrt(x), 1e-300),
+    "lorentzian over 2^52": (_shifted_lorentzian, 2.0**52),
+    "quiet at 0": (lambda x: math.exp(-1.0 / x - x), 0.0),
+    "zero": (lambda x: 0.0, 0.0),
+    "minus zero": (lambda x: -0.0, 0.0),
+    "nan tail": (_tail_nan, 0.0),
+    "inf spike": (_spike_inf, 0.0),
+    "-inf": (lambda x: -math.inf, 0.0),
+    "sign flips": (lambda x: math.cos(3.0 * x) * math.exp(-x), 0.0),
+}
+
+
+# The pass walks the rows where both sides are in range, then the side
+# still going alone; it must sample the same x in the same order and
+# return the same bits as the one loop that range-tests every node.
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-16])
+@pytest.mark.parametrize("name", sorted(PASS_CASES))
+def test_pass_matches_the_one_loop_reference(name, tol):
+    f, a = PASS_CASES[name]
+    g, seen = _recorded(f)
+    ref_g, ref_seen = _recorded(f)
+    assert _bits(integrate_semi_infinite(g, a, tol)) == _bits(
+        reference_semi_infinite(ref_g, a, tol)
+    )
+    assert seen == ref_seen
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-16])
+def test_route4_matches_the_one_loop_reference(tol, monkeypatch):
+    ns = (1.0 + 1e-15, 1.001, 1.5, 2.0, 3.0, 100.0, 1e300)
+    engine = [numeric_I(n, tol) for n in ns]
+    monkeypatch.setattr(routes, "integrate_semi_infinite", reference_semi_infinite)
+    assert [_bits(o) for o in engine] == [_bits(numeric_I(n, tol)) for n in ns]
+
+
+ENTRY_RUNS = {
+    "bilateral lemma1(2,0.35)": lambda tol: integrate_bilateral(lemma1_integrand(2, 0.35), tol),
+    "bilateral gaussian": lambda tol: integrate_bilateral(lambda t: math.exp(-t * t), tol),
+    "finite log (0,1)": lambda tol: integrate_finite(math.log, 0.0, 1.0, tol),
+    "finite sin (0,pi)": lambda tol: integrate_finite(math.sin, 0.0, math.pi, tol),
+    "finite x (1,2)": lambda tol: integrate_finite(lambda x: x, 1.0, 2.0, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-16])
+@pytest.mark.parametrize("name", sorted(ENTRY_RUNS))
+def test_entry_points_match_the_one_loop_reference(name, tol, monkeypatch):
+    engine = ENTRY_RUNS[name](tol)
+    monkeypatch.setattr(quadrature, "integrate_semi_infinite", reference_semi_infinite)
+    assert _bits(engine) == _bits(ENTRY_RUNS[name](tol))
+
+
 # ------------------------------------------------------ node-table cache
 
 @pytest.fixture
@@ -471,10 +588,12 @@ def test_level_cap_bounds_tables_and_evaluations(kind, cold_cache, asked_levels)
     assert not outcome.converged
     assert asked_levels == list(range(13))  # each level once, none above 12
     assert sorted(quadrature._EXP_SINH) == list(range(6))
-    nodes = sum(len(quadrature._exp_sinh_level(level)) for level in range(13))
+    nodes = sum(len(quadrature._exp_sinh_level(level)[0]) for level in range(13))
     assert outcome.evaluations <= calls_per_node * (1 + 2 * nodes)
 
 
+# Every cached record is built inside the measurement: the rows, the
+# both-sides prefix list and the record tuple.
 def test_node_tables_stay_compact(cold_cache):
     tracemalloc.start()
     try:
@@ -488,7 +607,7 @@ def test_node_tables_stay_compact(cold_cache):
     for level in range(6, 13):
         quadrature._exp_sinh_level(level)
     assert sorted(quadrature._EXP_SINH) == list(range(6))
-    assert current <= 5e4  # 39.2 kB measured
+    assert current <= 5e4  # 40.3 kB measured (38.1 kB before the prefix lists)
 
 
 # The cache is sized for the levels the route integrals walk: route 4 over

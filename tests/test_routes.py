@@ -560,6 +560,48 @@ def test_scaled_lemma1_integrand_is_zero_far_out():
     assert math.isfinite(g(300.0))
 
 
+def _lemma1_scaled_by_pow(m, z):
+    """``verify._lemma1_scaled`` as it was, with its power taken by pow."""
+    w = 1.0 - z
+    lo = min(z, w)
+    scale = 2.0 / lo
+    rate = abs(w - z) / lo
+    power = m - 1
+    if m % 2:
+        base, slope = 2.0, 1.0
+    else:
+        base, slope = 0.0, (-1.0 if z <= 0.5 else 1.0)
+    factor = math.prod((scale,) * m)
+    decay = -2.0 * rate
+
+    def scaled(u):
+        e = math.exp(-2.0 * u)
+        if e == 0.0:
+            return 0.0
+        t = scale * u
+        bracket = e * (base + slope * math.expm1(decay * u))
+        return u**power * (t / -math.expm1(-t)) * bracket * factor
+
+    return scaled
+
+
+# The scaled integrand multiplies by u for m = 2 and by u * u for m = 3
+# rather than calling pow; on every node of the cached levels that must be
+# the u**(m - 1) form bit for bit.  For m = 3 it is so only because u * u
+# and u**2 agree on these nodes: they differ on about 0.08% of doubles.
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_scaled_lemma1_power_is_bit_exact_on_the_cached_nodes(m):
+    nodes = []
+    for level in range(quadrature._LAST_CACHED_LEVEL + 1):
+        rows, _, far_end, near_end = quadrature._exp_sinh_level(level)
+        nodes += [row[1] for row in rows[:far_end]] + [row[3] for row in rows[:near_end]]
+    for z in sorted(set(rt.DEFAULT_LEMMA1_GRID) | {1e-5, 0.5, 1.0 - 1e-5}):
+        g = verify._lemma1_scaled(m, z)
+        reference = _lemma1_scaled_by_pow(m, z)
+        for u in nodes:
+            assert g(u).hex() == reference(u).hex(), (m, z, u)
+
+
 def test_scaled_lemma1_evaluations_are_bounded():
     # the folded form walked out to t ~ 1/min(z, 1-z): up to 211
     # evaluations on LEMMA1_Z and 681 at (m, z) = (2, 1e-5).  The counts
