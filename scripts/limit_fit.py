@@ -2,8 +2,12 @@
 """Fit the scaled residual (I(n) + 1) n^2 along decades of n.
 
 The residual decays like C/n^2; printing C per decade shows it settling
-(near pi^2/6 = trigamma(1), i.e. the leading curvature of the closed
-form) until float cancellation in I(n) + 1 becomes visible past n ~ 1e6.
+near pi^2/6 = trigamma(1), the leading curvature of the closed form.
+From n ~ 1e5 on the fits drift from pi^2/6 far beyond the 1/n^2 trend
+(by 2e-6 at n = 1e5 and 2e-2 at 1e7): ``limit_probe`` forms the residual
+as I(n) + 1.0, which cancels to rounding noise there.  That cancellation
+is the known residual defect of ``limit_probe`` (ROADMAP item 3), not a
+property of the limit; the last decades print the defect, not C.
 """
 
 import math

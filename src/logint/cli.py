@@ -1,10 +1,11 @@
 """Command-line front end: evaluate the integral, tabulate it over a grid,
 verify the identity chain, and probe the n -> infinity limit.
 
-This module holds the parser, the shared output helpers and the ``eval``
-and ``table`` handlers.  The ``verify`` and ``limit`` handlers live in
-``cli_checks``, which the two thin entries here import only when one of
-those commands runs, so a cold ``logint eval`` compiles none of them.
+This module holds the command table that the parser is built from, the
+shared output helpers and the ``eval`` and ``table`` handlers.  The
+``verify`` and ``limit`` handlers live in ``cli_checks``, which the two thin
+entries here import only when one of those commands runs, so a cold
+``logint eval`` compiles none of them.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (or stdout
 closed before the payload was written, as by ``| head``), 2 usage or
@@ -116,18 +117,24 @@ def _print_eval_human(row: routes.EvaluationRow, threshold: float) -> None:
     )
 
 
+def _spread_gate(tol: float | None, rows: list[routes.EvaluationRow]) -> tuple[float, int]:
+    # eval's and table's pass threshold (--tol, else the default) and the exit code it sets
+    threshold = _DEFAULT_SPREAD_THRESHOLD if tol is None else tol
+    if any(not r.quadrature.converged or r.max_pairwise_spread > threshold for r in rows):
+        return threshold, EXIT_NO_CONVERGENCE
+    return threshold, EXIT_OK
+
+
 def _run_eval(args: argparse.Namespace) -> int:
     row = routes.evaluate_all_routes(args.n, args.quad_tol)
-    threshold = _DEFAULT_SPREAD_THRESHOLD if args.tol is None else args.tol
+    threshold, code = _spread_gate(args.tol, [row])
     if args.fmt == "json":
         _print_json(_row_dict(row))
     elif args.fmt == "csv":
         _write_csv(EVAL_FIELDS, [_row_dict(row)])
     elif not args.quiet:
         _print_eval_human(row, threshold)
-    if not row.quadrature.converged or row.max_pairwise_spread > threshold:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return code
 
 
 def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
@@ -156,7 +163,6 @@ def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
 def _run_table(args: argparse.Namespace) -> int:
     grid = _grid(args.min, args.max, args.steps, args.spacing)
     rows = [routes.evaluate_all_routes(n, args.quad_tol) for n in grid]
-    threshold = _DEFAULT_SPREAD_THRESHOLD if args.tol is None else args.tol
     dicts = [_row_dict(row) for row in rows]
     if args.fmt == "json":
         _print_json(dicts)
@@ -170,9 +176,7 @@ def _run_table(args: argparse.Namespace) -> int:
                 f"{_fmt10(row.n):>14s} {_fmt10(row.trig_form):>20s}"
                 f" {row.max_pairwise_spread:>12.3e}"
             )
-    if any(not r.quadrature.converged or r.max_pairwise_spread > threshold for r in rows):
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _spread_gate(args.tol, rows)[1]
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -187,39 +191,48 @@ def _run_limit(args: argparse.Namespace) -> int:
     return cli_checks._run_limit(args)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("human", "csv", "json"),
-        default="human",
-        help="output format (default: human)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress human-readable prose"
-    )
+# Each shared flag's keywords, written once for every command that takes it.
+_OUTPUT_FLAGS = (
+    ("--format", {"dest": "fmt", "choices": ("human", "csv", "json"), "default": "human",
+                  "help": "output format (default: human)"}),
+    ("--quiet", {"action": "store_true", "help": "suppress human-readable prose"}),
+)
+_TOLERANCE_FLAGS = (
+    ("--tol", {"type": float, "default": None,
+               "help": "pass/fail threshold (finite, > 0); never changes quadrature internals"}),
+    ("--quad-tol", {"type": float, "default": 1e-10, "help": (
+        "quadrature tolerance: converged once the error estimate is at most"
+        " QUAD_TOL * max(1, |I|); finite and > 0 (default: 1e-10)"
+    )}),
+)
+
+# command -> (help line, handler, flags in the order its --help lists them)
+_COMMANDS = {
+    "eval": ("evaluate all routes at one n", _run_eval, (
+        ("--n", {"type": float, "required": True, "help": "exponent, must exceed 1"}),
+        *_OUTPUT_FLAGS, *_TOLERANCE_FLAGS,
+    )),
+    "table": ("tabulate all routes over an n grid", _run_table, (
+        ("--min", {"type": float, "required": True}),
+        ("--max", {"type": float, "required": True}),
+        ("--steps", {"type": int, "required": True}),
+        ("--spacing", {"choices": ("linear", "log"), "default": "linear"}),
+        *_OUTPUT_FLAGS, *_TOLERANCE_FLAGS,
+    )),
+    "verify": ("re-run the identity checks", _run_verify, (
+        ("--subject", {"choices": ("lemma1", "lemma2", "lemma3", "theorem", "all"),
+                       "default": "all"}),
+        *_OUTPUT_FLAGS, *_TOLERANCE_FLAGS,
+    )),
+    "limit": ("probe the n -> infinity limit", _run_limit, (
+        ("--n-list", {"required": True, "help": "comma-separated, strictly ascending exponents"}),
+        *_OUTPUT_FLAGS,
+    )),
+}
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="pass/fail threshold (finite, > 0); never changes quadrature internals",
-    )
-    parser.add_argument(
-        "--quad-tol",
-        dest="quad_tol",
-        type=float,
-        default=1e-10,
-        help=(
-            "quadrature tolerance: converged once the error estimate is at most"
-            " QUAD_TOL * max(1, |I|); finite and > 0 (default: 1e-10)"
-        ),
-    )
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it is given."""
     parser = argparse.ArgumentParser(
         prog="logint",
         description=(
@@ -227,48 +240,25 @@ def _build_parser() -> argparse.ArgumentParser:
             "independent routes and verify the identity chain behind the closed form."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate all routes at one n")
-    p_eval.add_argument("--n", type=float, required=True, help="exponent, must exceed 1")
-    _add_common_flags(p_eval)
-    _add_tolerance_flags(p_eval)
-    p_eval.set_defaults(handler=_run_eval)
-
-    p_table = sub.add_parser("table", help="tabulate all routes over an n grid")
-    p_table.add_argument("--min", type=float, required=True)
-    p_table.add_argument("--max", type=float, required=True)
-    p_table.add_argument("--steps", type=int, required=True)
-    p_table.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    _add_common_flags(p_table)
-    _add_tolerance_flags(p_table)
-    p_table.set_defaults(handler=_run_table)
-
-    p_verify = sub.add_parser("verify", help="re-run the identity checks")
-    p_verify.add_argument(
-        "--subject",
-        choices=("lemma1", "lemma2", "lemma3", "theorem", "all"),
-        default="all",
+    # with one command registered, usage errors still name all four; with all
+    # four, no metavar, which would rename "command" in argparse's messages
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
     )
-    _add_common_flags(p_verify)
-    _add_tolerance_flags(p_verify)
-    p_verify.set_defaults(handler=_run_verify)
-
-    p_limit = sub.add_parser("limit", help="probe the n -> infinity limit")
-    p_limit.add_argument(
-        "--n-list",
-        dest="n_list",
-        required=True,
-        help="comma-separated, strictly ascending exponents",
-    )
-    _add_common_flags(p_limit)
-    p_limit.set_defaults(handler=_run_limit)
-
+    for name in _COMMANDS if command is None else (command,):
+        help_line, handler, flags = _COMMANDS[name]
+        command_parser = sub.add_parser(name, help=help_line)
+        for flag, keywords in flags:
+            command_parser.add_argument(flag, **keywords)
+        command_parser.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a known command builds its own parser only
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         if "quad_tol" in args:  # eval, table and verify; limit takes neither flag
             _check_tol(args.quad_tol)  # even where no quadrature runs

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, CSV/JSON schemas, round-trips, --quiet."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -267,7 +268,72 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
     assert err.value.code == cli.EXIT_USAGE
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == "" and "argument command: invalid choice: 'frobnicate'" in err
+    assert all(f"'{name}'" in err for name in ("eval", "table", "verify", "limit"))
+
+
+# ----------------------------------------------------------------- parser
+
+def parse_counting_parsers(argv, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setenv("COLUMNS", "80")  # one help line per command
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        code = cli.main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    return len(built), code, captured.out, captured.err
+
+
+COMMAND_HELP = {
+    "eval": "evaluate all routes at one n",
+    "table": "tabulate all routes over an n grid",
+    "verify": "re-run the identity checks",
+    "limit": "probe the n -> infinity limit",
+}
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["eval", "--n", "3"], 2),  # the top-level parser and eval's own
+    (["limit", "--n-list", "2,10", "--format", "csv"], 2),
+    (["eval", "--n", "3", "extra"], 2),
+    (["--help"], 5),
+    (["frobnicate"], 5),
+    ([], 5),
+])
+def test_a_known_command_builds_only_its_own_parser(argv, parsers, monkeypatch, capsys):
+    assert parse_counting_parsers(argv, monkeypatch, capsys)[0] == parsers
+
+
+def test_an_extra_argument_names_every_command_in_the_usage_line(monkeypatch, capsys):
+    _, code, out, err = parse_counting_parsers(["eval", "--n", "3", "extra"], monkeypatch, capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("usage: logint ")
+    assert "{eval,table,verify,limit}" in err.splitlines()[0]
+    assert "unrecognized arguments: extra" in err
+
+
+def test_top_level_help_lists_every_command_with_its_help_line(monkeypatch, capsys):
+    _, code, out, err = parse_counting_parsers(["--help"], monkeypatch, capsys)
+    assert code == cli.EXIT_OK and err == ""
+    rows = [line.split(None, 1) for line in out.splitlines()]
+    listed = {row[0]: row[1] for row in rows if len(row) == 2 and row[0] in COMMAND_HELP}
+    assert listed == COMMAND_HELP
+
+
+def test_no_command_still_reports_the_command_as_required(monkeypatch, capsys):
+    _, code, out, err = parse_counting_parsers([], monkeypatch, capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "required: command" in err
 
 
 # ------------------------------------------------------------------- JSON
