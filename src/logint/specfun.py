@@ -10,9 +10,10 @@ public functions in ``__all__`` (lgamma, digamma, polygamma, trigamma, the
 cot-derivative polynomials and the two exceptions) are defined in
 ``special``, which takes its series constants from here, so each table
 exists once.  ``__getattr__`` imports ``special`` on first access to one
-of them and binds the name here, so ``specfun.polygamma`` works as ever
-while ``logint eval`` and ``logint table`` never load ``special``.  No
-route calls a public special function.
+of them, or to the lemma verifiers' private kernel ``_polygamma_pair``,
+and binds the name here, so ``specfun.polygamma`` works as ever while
+``logint eval`` and ``logint table`` never load ``special``.  No route
+calls a public special function.
 
 The trigamma route's kernel ``_trigamma_pairs`` takes the combination
 [psi'(x1) - psi'(y1)] - [psi'(x2) - psi'(y2)] where both pairs differ by
@@ -55,8 +56,9 @@ __all__ = [
 
 
 def __getattr__(name: str) -> object:
-    """Import ``special`` for one of the names in ``__all__`` and bind it here."""
-    if name not in __all__:
+    """Import ``special`` for one of the names in ``__all__``, or for the
+    verifiers' paired polygamma kernel, and bind it here."""
+    if name not in __all__ and name != "_polygamma_pair":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import special
 

@@ -11,6 +11,13 @@ is polygamma(1, x) with its own domain message.  No route calls any of
 them: routes 2 and 3 use the paired kernels in ``specfun``, and only the
 verifiers and library callers load this module.
 
+The lemma1 and lemma2 verifiers take their polygamma side from the private
+kernel ``_polygamma_pair``, reached as ``specfun._polygamma_pair``: the
+reflection sum psi^(m)(1-z) + (-1)^(m+1) psi^(m)(z) in one shift loop over
+both arguments, summed into polygamma's own asymptotic row.  It uses no
+reflection formula and no trig function, so lemma2 never checks the cot
+side against itself.
+
 Derivatives of cot are kept exact as integer-coefficient polynomials in
 c = cot x.
 
@@ -67,6 +74,19 @@ _POLYGAMMA_SERIES = tuple(
     )
     for m in range(1, MAX_DERIVATIVE_ORDER + 1)
 )
+# polygamma raises its argument by unit steps to at least 8 + 2m before the
+# row above applies, as its terms grow like (2k+m-1)!; the paired kernel
+# adds 8 + 2m to its arguments in (0, 1), so the two read one start per order.
+_POLYGAMMA_STARTS = tuple(8.0 + 2 * m for m in range(1, MAX_DERIVATIVE_ORDER + 1))
+# The paired kernel's unit steps for orders 1..3, largest first, so that
+# its shift terms are summed smallest first.
+_PAIR_STEPS = tuple(
+    tuple(float(k) for k in reversed(range(int(start)))) for start in _POLYGAMMA_STARTS[:3]
+)
+# Below this z the paired kernel takes the two polygamma calls, which raise
+# OverflowError where psi^(m)(z) ~ m!/z^(m+1) passes the largest double
+# (z < 1.4e-77 for m = 3, lower for m = 1 and 2).
+_PAIR_TINY = 1e-60
 
 # ln Gamma(1+z) = -ln(1+z) + z(1 - gamma) + sum_k (-1)^k (zeta(k) - 1) z^k / k
 # for |z| < 2 (A&S 6.1.33); the terms k = 28 down to 2, from mpmath at 40
@@ -171,29 +191,86 @@ def polygamma(m: int, x: float) -> float:
     """psi^(m)(x) for 1 <= m <= 12 and finite x > 0.
 
     x is raised by psi^(m)(x) = psi^(m)(x+1) + (-1)^(m+1) m! x^(-m-1) to at
-    least 8 + 2m, as the series terms grow like (2k+m-1)!.  One fsum adds
-    the shift terms, the leading (m-1)!/y^m and the rest of the series.
-    Once |psi^(m)(x)| ~ m!/x^(m+1) passes the largest double, OverflowError
-    is raised, as math.gamma does.
+    least 8 + 2m, as the series terms grow like (2k+m-1)!; each shifted
+    argument x + k is formed from x in one rounding.  The series is summed
+    at y = x + K as rounded, and r m!/y^(m+1) comes off it, where
+    r = (x + K) - y is the rounding, taken exactly (TwoSum): without it a
+    shift that rounds across a power of two cost up to (m+1)/2 ulp.  One
+    fsum adds the shift terms, the leading (m-1)!/y^m and the rest of the
+    series.  Once |psi^(m)(x)| ~ m!/x^(m+1) passes the largest double,
+    OverflowError is raised, as math.gamma does.
     """
     _check_order(m, low=1)
     _require_positive(x, "polygamma")
     fact = math.factorial(m)
-    terms, y = [], x
-    append, power, start = terms.append, -(m + 1), 8.0 + 2 * m
+    terms, k, y = [], 0.0, x
+    append, power, start = terms.append, -(m + 1), _POLYGAMMA_STARTS[m - 1]
     while y < start:
         append(fact * y**power)
-        y += 1.0
-    r = 1.0 / (y * y)
+        k += 1.0
+        y = x + k
+    t = y - k
+    r = (x - t) + (k - (y - t))  # (x + k) - y exactly
+    r2 = 1.0 / (y * y)
     series = 0.0
     for e in _POLYGAMMA_SERIES[m - 1]:
-        series = series * r + e
+        series = series * r2 + e
     p = y**-m  # not 1/y**m: y**m raises OverflowError past 1.8e308
-    terms += (fact // m) * p, p * (0.5 * fact / y + series * r)
+    terms += (fact // m) * p, p * (0.5 * fact / y + series * r2), -r * fact * p / y
     value = math.fsum(terms)
     if value == math.inf:  # m! x^(-m-1) overflowed, though x^(-m-1) did not
         raise OverflowError(f"polygamma({m}, {x!r}) is past the largest double")
     return value if m % 2 else -value
+
+
+def _polygamma_pair(m: int, z: float) -> float:
+    """psi^(m)(1-z) + (-1)^(m+1) psi^(m)(z) for m = 1, 2, 3 and z in (0, 1).
+
+    The callers check m and z.  With x = 1 - z, one loop forms x + k and
+    z + k in one rounding each, for the k of polygamma's own shift to
+    8 + 2m, and the asymptotic row of polygamma is summed at x + 8 + 2m and
+    z + 8 + 2m.  For odd m both shift terms m!/(x+k)^(m+1) and
+    m!/(z+k)^(m+1) are added, smallest first.  For m = 2 each pair is one
+    term that carries delta = x - z as a factor:
+    1/(z+k)^3 - 1/(x+k)^3 = delta a b (a^2 + ab + b^2), a = 1/(x+k),
+    b = 1/(z+k), so nothing cancels as z -> 1/2, and z = 1/2 gives exactly
+    0.0.  Below z = 1e-60 the two polygamma calls are taken, so that
+    OverflowError is raised exactly where they raise it.  No reflection
+    formula and no trig function is used.
+    """
+    if z < _PAIR_TINY:
+        return polygamma(m, 1.0 - z) + (polygamma(m, z) if m % 2 else -polygamma(m, z))
+    x = 1.0 - z
+    acc = 0.0
+    if m == 1:
+        for k in _PAIR_STEPS[0]:
+            u, v = x + k, z + k
+            acc += 1.0 / u / u + 1.0 / v / v
+    elif m == 2:
+        d = x - z
+        for k in _PAIR_STEPS[1]:
+            a, b = 1.0 / (x + k), 1.0 / (z + k)
+            acc += (d * a * b) * (a * a + a * b + b * b)
+    else:
+        for k in _PAIR_STEPS[2]:
+            u, v = x + k, z + k
+            a, b = 1.0 / u / u, 1.0 / v / v
+            acc += a * a + b * b
+    start = _POLYGAMMA_STARTS[m - 1]
+    iu, iv = 1.0 / (x + start), 1.0 / (z + start)
+    ru, rv = iu * iu, iv * iv
+    su = sv = 0.0
+    for e in _POLYGAMMA_SERIES[m - 1]:
+        su = su * ru + e
+        sv = sv * rv + e
+    fact = math.factorial(m)
+    # (m-1)!/y^m + m!/(2 y^(m+1)) + the row, at y = x + start and z + start
+    pu, pv = (iu, iv) if m == 1 else (ru, rv) if m == 2 else (ru * iu, rv * iv)
+    tu = (fact // m) * pu + pu * (0.5 * fact * iu + su * ru)
+    tv = (fact // m) * pv + pv * (0.5 * fact * iv + sv * rv)
+    if m == 2:
+        return fact * acc + (tv - tu)
+    return (tu + tv) + fact * acc
 
 
 def trigamma(x: float) -> float:

@@ -17,9 +17,12 @@ The verification subjects follow the derivation chain:
 Result line, with the differentiated gamma product in place of the sec/csc
 form.  Every public name here is also reachable as ``routes.<name>``.
 The verifiers look the routes, the engine and the special functions up
-through their modules (``routes.numeric_I``,
-``quadrature.integrate_semi_infinite``, ``specfun.polygamma``), where a
-caller, a test or the benchmark's tracer may replace them.
+through their modules at call time (``routes.numeric_I``,
+``quadrature.integrate_semi_infinite``, ``specfun._polygamma_pair``,
+``specfun.cot_derivative``), where a caller, a test or the benchmark's
+tracer may replace them.  lemma1 and lemma2 take their polygamma side
+from the paired kernel ``_polygamma_pair``, one shift loop over both
+arguments, and only they load ``special``, where it is defined.
 """
 
 from __future__ import annotations
@@ -245,7 +248,9 @@ def verify_lemma1(
 ) -> VerificationReport:
     """Quadrature of the lemma1 integral vs. the polygamma side.
 
-    The whole-line integral is folded at zero onto one exp-sinh integral
+    The polygamma side psi^(m)(1-z) + (-1)^(m+1) psi^(m)(z) is one call
+    of the paired kernel ``specfun._polygamma_pair``.  The whole-line
+    integral is folded at zero onto one exp-sinh integral
     over t > 0 of f(t) + f(-t), one closure call per node, and taken at
     the integrand's own scale: in u = min(z, 1-z) t / 2 the slower
     exponential is e^(-2u) at every z (``_lemma1_scaled``).  At the default
@@ -253,12 +258,11 @@ def verify_lemma1(
     1 - 1e-5.  Quadrature non-convergence surfaces as an infinite
     deviation.
     """
-    sign = 1.0 if m % 2 else -1.0
     points: list[tuple[float, ...]] = []
     deviations: list[float] = []
     for z in z_grid:
         outcome = quadrature.integrate_semi_infinite(_lemma1_scaled(m, z), 0.0, quad_tol)
-        rhs = specfun.polygamma(m, 1.0 - z) + sign * specfun.polygamma(m, z)
+        rhs = specfun._polygamma_pair(m, z)
         deviations.append(abs(outcome.value - rhs) if outcome.converged else math.inf)
         points.append((float(m), float(z)))
     return _make_report(Subject.LEMMA1, points, deviations, tol)
@@ -271,9 +275,11 @@ def verify_lemma2(
 ) -> VerificationReport:
     """Polygamma reflection vs. the exact cot-derivative polynomials.
 
-    Compares psi^(m)(1-z) + (-1)^(m+1) psi^(m)(z) against
-    (-1)^m pi^(m+1) (d^m cot)(pi z); the pi^m chain-rule factor is what
-    turns the z-derivative of cot(pi z) into the plain cot derivative.
+    Compares psi^(m)(1-z) + (-1)^(m+1) psi^(m)(z), taken in one call of
+    the paired kernel ``specfun._polygamma_pair``, which uses no reflection
+    formula and no trig function, against (-1)^m pi^(m+1) (d^m cot)(pi z);
+    the pi^m chain-rule factor is what turns the z-derivative of cot(pi z)
+    into the plain cot derivative.
     Deviations are relative to the right side, floored at magnitude 1 so
     the symmetric zero at z = 1/2 (even m) is not compared as 0/0.
     """
@@ -282,13 +288,12 @@ def verify_lemma2(
     points: list[tuple[float, ...]] = []
     deviations: list[float] = []
     for m in range(1, m_max + 1):
-        sign = 1.0 if m % 2 else -1.0
         cot_sign = -1.0 if m % 2 else 1.0
         pi_power = math.pi ** (m + 1)
         for z in z_grid:
             if not (0.05 < z < 0.95):
                 raise ValueError(f"z grid must stay inside (0.05, 0.95), got {z!r}")
-            lhs = specfun.polygamma(m, 1.0 - z) + sign * specfun.polygamma(m, z)
+            lhs = specfun._polygamma_pair(m, z)
             rhs = cot_sign * pi_power * specfun.cot_derivative(m, math.pi * z)
             deviations.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
             points.append((float(m), float(z)))

@@ -64,6 +64,15 @@ def test_verify_loads_the_verifiers_and_special_functions():
     assert {"logint.verify", "logint.special"} <= loaded
 
 
+@pytest.mark.parametrize("subject", ["lemma3", "theorem"])
+def test_verify_without_lemma1_or_lemma2_loads_no_special_function(subject):
+    # only the lemma1 and lemma2 verifiers reach the polygamma kernel and
+    # the cot derivatives, both defined in special
+    loaded = imported_modules("verify", "--subject", subject, "--format", "csv")
+    assert "logint.verify" in loaded
+    assert "logint.special" not in loaded
+
+
 @pytest.mark.parametrize("command", [
     ["verify", "--subject", "lemma3"],
     ["limit", "--n-list", "10,100"],

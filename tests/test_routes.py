@@ -269,11 +269,12 @@ def test_gamma_derivative_never_calls_quadrature(monkeypatch):
     def shared(*args, **kwargs):
         raise AssertionError("route 3 must use its own paired gamma kernel alone")
 
-    # nor the public lgamma and digamma, nor the polygamma code and the
-    # paired kernel behind the trigamma route (both branches)
+    # nor the public lgamma and digamma, nor the polygamma code, the
+    # verifiers' paired polygamma kernel and the paired kernel behind the
+    # trigamma route (both branches)
     with monkeypatch.context() as patch:
-        for name in ("lgamma", "digamma", "polygamma", "trigamma"):
-            patch.setattr(specfun, name, shared)
+        for name in ("lgamma", "digamma", "polygamma", "trigamma", "_polygamma_pair"):
+            patch.setattr(specfun, name, shared)  # verify looks them up here
         patch.setattr(rt, "_trigamma_pairs", shared)  # routes binds the kernels by name
         rt.closed_form_gamma_derivative(1.5)
         rt.closed_form_gamma_derivative(3.0)
@@ -313,8 +314,8 @@ def test_numeric_independent_of_special_functions(monkeypatch):
         raise AssertionError("numeric_I must not touch specfun")
 
     for name in ("lgamma", "digamma", "polygamma", "trigamma",
-                 "cot_derivative", "gamma_reflection_defect"):
-        monkeypatch.setattr(specfun, name, boom)
+                 "cot_derivative", "gamma_reflection_defect", "_polygamma_pair"):
+        monkeypatch.setattr(specfun, name, boom)  # where verify looks them up
     for name in ("_trigamma_pairs", "_gamma_pairs"):  # where routes looks them up
         monkeypatch.setattr(rt, name, boom)
     for n in (1.001, 1.5, 3.0):  # the scaled (n < 2) and unscaled paths

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logint import specfun as sf
+from logint import verify
 from logint.quadrature import integrate_semi_infinite
 
 from oracles import euler_gamma, nested_central_diff, zeta_partial
@@ -181,6 +182,11 @@ def test_polygamma_matches_high_precision_at_every_order():
     mpmath.mp.dps = 40
     rng = random.Random(611)
     xs = [10.0 ** rng.uniform(-8.0, 8.0) for _ in range(60)]
+    # where the shift rounds across a power of two: 31.38... + 1 crosses 32
+    # (m = 12 was 1.08e-15 off there before the rounding was put back)
+    xs.append(31.382895422458322)
+    rng = random.Random(1211)
+    xs += [2.0**j - rng.random() for j in range(1, 6) for _ in range(40)]
     for m in range(1, sf.MAX_DERIVATIVE_ORDER + 1):
         for x in xs:
             ref = mpmath.polygamma(m, mpmath.mpf(x))
@@ -208,8 +214,10 @@ def test_trigamma_matches_polygamma_order_one():
 
 # psi^(m)(x), m = 1, 2, 3, recorded before trigamma bypassed polygamma's
 # checks and the shift loop was trimmed: the lemma2 grid, a tiny x, a
-# quarter, the shift's worst power-of-two crossing and a large x.  lemma2
-# and route 2 read these bits, so any rounding change must show here.
+# quarter, the shift's worst power-of-two crossing and a large x.  No route
+# or verifier reads polygamma (lemma1 and lemma2 take the paired kernel);
+# these bits pin the public function for library callers, so any rounding
+# change must show here.
 POLYGAMMA_RECORDED = {
     0.15: ("0x1.6e51ed82accc7p+5", "-0x1.291f8f5e57e24p+9", "0x1.727d4f7110bc8p+13"),
     0.2375: ("0x1.2f1535651b5e3p+4", "-0x1.2d4fe9ef026f2p+7", "0x1.d82c7253f232ep+10"),
@@ -326,6 +334,62 @@ def test_polygamma_reflection_via_cot_derivatives():
             lhs = sf.polygamma(m, 1.0 - z) + sign * sf.polygamma(m, z)
             rhs = cot_sign * math.pi ** (m + 1) * sf.cot_derivative(m, math.pi * z)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (m, z)
+
+
+def test_polygamma_pair_matches_high_precision():
+    # psi^(m)(1-z) + (-1)^(m+1) psi^(m)(z) at the double 1 - z, as the two
+    # calls take it, floored relative to magnitude 1; the two calls reach
+    # 2.6e-15 at m = 2 next to z = 1/2, where their difference cancels
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = random.Random(2707)
+    zs = [rng.uniform(0.05, 0.95) for _ in range(1000)]
+    zs += list(verify.DEFAULT_LEMMA1_GRID) + list(verify.DEFAULT_LEMMA2_GRID)
+    tiny = [10.0 ** rng.uniform(-12.0, math.log10(0.05)) for _ in range(200)]
+    zs += tiny + [1.0 - z for z in tiny]
+    zs += [0.5 + side * 2.0**-k for k in range(2, 54) for side in (1.0, -1.0)]
+    for m in (1, 2, 3):
+        for z in zs:
+            ref = (mpmath.polygamma(m, mpmath.mpf(1.0 - z))
+                   + (-1) ** (m + 1) * mpmath.polygamma(m, mpmath.mpf(z)))
+            err = abs(sf._polygamma_pair(m, z) - ref) / max(1, abs(ref))
+            assert err <= 1e-15, (m, z, float(err))
+
+
+def test_polygamma_pair_is_exactly_zero_at_the_even_order_centre():
+    value = sf._polygamma_pair(2, 0.5)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_polygamma_pair_overflows_where_the_two_calls_do():
+    zs = [10.0 ** (-12.0 - 311.0 * i / 2999.0) for i in range(3000)]
+    zs += [5e-324, 1e-320, 7.4e-155, 7.5e-155, 2.0584081077960078e-103, 1.35e-77, 1.36e-77]
+    raised = 0
+    for m in (1, 2, 3):
+        for z in zs:
+            try:
+                expected = sf.polygamma(m, 1.0 - z) + (-1) ** (m + 1) * sf.polygamma(m, z)
+            except OverflowError:
+                raised += 1
+                with pytest.raises(OverflowError):
+                    sf._polygamma_pair(m, z)
+            else:
+                assert sf._polygamma_pair(m, z) == pytest.approx(expected, rel=1e-15), (m, z)
+    assert raised > 1000  # the sweep reaches well past each order's overflow point
+
+
+def test_polygamma_pair_uses_no_trig_function(monkeypatch):
+    zs = [0.03, 0.2, 0.5, 0.77, 0.95]
+    before = [sf._polygamma_pair(m, z) for m in (1, 2, 3) for z in zs]
+
+    def trig(*args):
+        raise AssertionError("the paired kernel must not use a trig function")
+
+    for name in ("sin", "cos", "tan"):
+        monkeypatch.setattr(math, name, trig)
+    assert [sf._polygamma_pair(m, z) for m in (1, 2, 3) for z in zs] == before
+    with pytest.raises(AssertionError, match="trig function"):  # positive control
+        sf.cot_derivative(1, 1.0)
 
 
 def test_trigamma_reflection_cosecant_form():
