@@ -241,8 +241,9 @@ def evaluate_all_routes(n: float, quad_tol: float = 1e-10) -> EvaluationRow:
 def limit_probe(n_list: Sequence[float]) -> list[tuple[float, float, float]]:
     """Closed-form values along an ascending n list, with residual I(n) + 1.
 
-    The residuals decay like 1/n^2 toward the limit value -1; the CLI's
-    ``limit`` command checks only that they strictly decrease.
+    The values tend to the limit -1, and the residuals decay like 1/n^2
+    toward 0; the CLI's ``limit`` command checks only that they strictly
+    decrease.
     """
     ns = [_check_n(n) for n in n_list]
     if not ns:

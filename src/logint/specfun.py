@@ -8,12 +8,12 @@ This module holds what the closed-form routes run on: the Bernoulli series
 constants and the two private paired kernels of routes 2 and 3.  The
 public functions in ``__all__`` (lgamma, digamma, polygamma, trigamma, the
 cot-derivative polynomials and the two exceptions) are defined in
-``special``, which takes its series constants from here, so each table
-exists once.  ``__getattr__`` imports ``special`` on first access to one
-of them, or to the lemma verifiers' private kernel ``_polygamma_pair``,
-and binds the name here, so ``specfun.polygamma`` works as ever while
-``logint eval`` and ``logint table`` never load ``special``.  No route
-calls a public special function.
+``special``, which takes its series constants and ``__all__`` from here,
+so each table and the list of names exist once.  ``__getattr__`` imports
+``special`` on first access to one of them, or to the lemma verifiers'
+private kernel ``_polygamma_pair``, and binds the name here, so
+``specfun.polygamma`` works as ever while ``logint eval`` and ``logint
+table`` never load ``special``.  No route calls a public special function.
 
 The trigamma route's kernel ``_trigamma_pairs`` takes the combination
 [psi'(x1) - psi'(y1)] - [psi'(x2) - psi'(y2)] where both pairs differ by

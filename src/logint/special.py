@@ -36,21 +36,8 @@ from .specfun import (
     _DIGAMMA_SERIES,
     _HALF_LN_TWO_PI,
     _LGAMMA_SERIES,
+    __all__,
 )
-
-__all__ = [
-    "DomainError",
-    "UnsupportedOrderError",
-    "MAX_DERIVATIVE_ORDER",
-    "CotPolynomial",
-    "lgamma",
-    "gamma_reflection_defect",
-    "digamma",
-    "polygamma",
-    "trigamma",
-    "cot_derivative_poly",
-    "cot_derivative",
-]
 
 
 class DomainError(ValueError):

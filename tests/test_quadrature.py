@@ -433,17 +433,22 @@ def _spike_inf(x):
     return math.inf if x < 1e-3 else math.exp(-x)
 
 
-def _shifted_lorentzian(x):
-    s = x - 2.0**52
-    return 1.0 / (1.0 + s * s)
+def _lorentzian(center):
+    def f(x):
+        s = x - center
+        return 1.0 / (1.0 + s * s)
+
+    return f
 
 
 # (f, a).  The lemma1 integrands are the ones verify_lemma1 integrates.
 # Where a + decay rounds onto a the near side runs out of range: about half
-# way out over a = 2.5 and -3.0, on the first rows over 2^52, and next to
-# where it does over 0 for 1e-300.  exp(-1/x - x) goes quiet next to 0
-# first, so its far side walks on alone.  The rest return 0.0, -0.0, nan,
-# inf, or flip sign.
+# way out over a = 2.5, -3.0 and 1, a fifth of the way over 1e15, on the
+# first rows over 2^52, -2^53 and 2^53 - 1, and next to where it does over
+# 0 for +-1e-300.  The integrands singular at 2.5, -3.0 and 1 still
+# contribute there, so their near side runs all the way to that end.
+# exp(-1/x - x) goes quiet next to 0 first, so its far side walks on
+# alone.  The rest return 0.0, -0.0, nan, inf, or flip sign.
 PASS_CASES = {
     **{
         f"lemma1({m},{z})": (verify._lemma1_scaled(m, z), 0.0)
@@ -451,9 +456,16 @@ PASS_CASES = {
         for z in (1e-5, 0.35, 0.5)
     },
     "x^-2 over 2.5": (lambda x: 1.0 / (x * x), 2.5),
+    "x^-2 over 1e15": (lambda x: 1.0 / (x * x), 1e15),
     "exp over -3": (lambda x: math.exp(-(x + 3.0)), -3.0),
+    "exp over -1e-300": (lambda x: math.exp(-x), -1e-300),
     "exp/sqrt over 1e-300": (lambda x: math.exp(-x) / math.sqrt(x), 1e-300),
-    "lorentzian over 2^52": (_shifted_lorentzian, 2.0**52),
+    "exp/sqrt over 2.5": (lambda x: math.exp(-(x - 2.5)) / math.sqrt(x - 2.5), 2.5),
+    "exp/sqrt over -3": (lambda x: math.exp(-(x + 3.0)) / math.sqrt(x + 3.0), -3.0),
+    "log*exp over 1": (lambda x: math.log(x - 1.0) * math.exp(-(x - 1.0)), 1.0),
+    "lorentzian over 2^52": (_lorentzian(2.0**52), 2.0**52),
+    "lorentzian over -2^53": (_lorentzian(-(2.0**53)), -(2.0**53)),
+    "lorentzian over 2^53-1": (_lorentzian(2.0**53 - 1.0), 2.0**53 - 1.0),
     "quiet at 0": (lambda x: math.exp(-1.0 / x - x), 0.0),
     "zero": (lambda x: 0.0, 0.0),
     "minus zero": (lambda x: -0.0, 0.0),
