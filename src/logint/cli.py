@@ -2,7 +2,8 @@
 verify the identity chain, and probe the n -> infinity limit.
 
 This module holds the command table that the parser is built from, the
-shared output helpers and the ``eval`` and ``table`` handlers.  The
+one output path ``_emit`` that every handler prints through, the helpers
+behind it and the ``eval`` and ``table`` handlers.  The
 ``verify`` and ``limit`` handlers live in ``cli_checks``, which the two thin
 entries here import only when one of those commands runs, so a cold
 ``logint eval`` compiles none of them.
@@ -21,7 +22,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import routes
 from .quadrature import _check_tol
@@ -86,35 +87,24 @@ def _write_csv(fields: Sequence[str], rows: Sequence[dict]) -> None:
         ) + "\n")
 
 
+def _emit(args: argparse.Namespace, payload: dict | list, fields: Sequence[str],
+          rows: Sequence[dict], human: Callable[[], None]) -> None:
+    """Print one command's output: ``payload`` as JSON, ``rows`` as CSV, or
+    the prose that ``human()`` prints, unless ``--quiet`` is set."""
+    if args.fmt == "json":
+        _print_json(payload)
+    elif args.fmt == "csv":
+        _write_csv(fields, rows)
+    elif not args.quiet:
+        human()
+
+
 def _row_dict(row: routes.EvaluationRow) -> dict:
-    return {
-        "n": row.n,
-        "trig_form": row.trig_form,
-        "trigamma_form": row.trigamma_form,
-        "gamma_derivative_form": row.gamma_derivative_form,
-        "quadrature_value": row.quadrature.value,
-        "quadrature_error": row.quadrature.error_estimate,
-        "spread": row.max_pairwise_spread,
-    }
-
-
-def _print_eval_human(row: routes.EvaluationRow, threshold: float) -> None:
     quad = row.quadrature
-    print(f"I(n) for n = {_fmt10(row.n)}")
-    print(f"  trig closed form       {_fmt10(row.trig_form)}")
-    print(f"  trigamma closed form   {_fmt10(row.trigamma_form)}")
-    print(f"  gamma derivative       {_fmt10(row.gamma_derivative_form)}")
-    print(
-        f"  quadrature             {_fmt10(quad.value)}"
-        f"  (error estimate {quad.error_estimate:.3e},"
-        f" {quad.evaluations} evaluations,"
-        f" {'converged' if quad.converged else 'NOT converged'})"
-    )
-    verdict = "ok" if row.max_pairwise_spread <= threshold else "EXCEEDED"
-    print(
-        f"  max route spread       {row.max_pairwise_spread:.3e}"
-        f"  [threshold {threshold:g}: {verdict}]"
-    )
+    return dict(zip(EVAL_FIELDS, (
+        row.n, row.trig_form, row.trigamma_form, row.gamma_derivative_form,
+        quad.value, quad.error_estimate, row.max_pairwise_spread,
+    )))
 
 
 def _spread_gate(tol: float | None, rows: list[routes.EvaluationRow]) -> tuple[float, int]:
@@ -128,12 +118,27 @@ def _spread_gate(tol: float | None, rows: list[routes.EvaluationRow]) -> tuple[f
 def _run_eval(args: argparse.Namespace) -> int:
     row = routes.evaluate_all_routes(args.n, args.quad_tol)
     threshold, code = _spread_gate(args.tol, [row])
-    if args.fmt == "json":
-        _print_json(_row_dict(row))
-    elif args.fmt == "csv":
-        _write_csv(EVAL_FIELDS, [_row_dict(row)])
-    elif not args.quiet:
-        _print_eval_human(row, threshold)
+
+    def human() -> None:
+        quad = row.quadrature
+        print(f"I(n) for n = {_fmt10(row.n)}")
+        print(f"  trig closed form       {_fmt10(row.trig_form)}")
+        print(f"  trigamma closed form   {_fmt10(row.trigamma_form)}")
+        print(f"  gamma derivative       {_fmt10(row.gamma_derivative_form)}")
+        print(
+            f"  quadrature             {_fmt10(quad.value)}"
+            f"  (error estimate {quad.error_estimate:.3e},"
+            f" {quad.evaluations} evaluations,"
+            f" {'converged' if quad.converged else 'NOT converged'})"
+        )
+        verdict = "ok" if row.max_pairwise_spread <= threshold else "EXCEEDED"
+        print(
+            f"  max route spread       {row.max_pairwise_spread:.3e}"
+            f"  [threshold {threshold:g}: {verdict}]"
+        )
+
+    payload = _row_dict(row)
+    _emit(args, payload, EVAL_FIELDS, [payload], human)
     return code
 
 
@@ -163,19 +168,17 @@ def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
 def _run_table(args: argparse.Namespace) -> int:
     grid = _grid(args.min, args.max, args.steps, args.spacing)
     rows = [routes.evaluate_all_routes(n, args.quad_tol) for n in grid]
-    dicts = [_row_dict(row) for row in rows]
-    if args.fmt == "json":
-        _print_json(dicts)
-    elif args.fmt == "csv":
-        _write_csv(EVAL_FIELDS, dicts)
-    elif not args.quiet:
-        header = f"{'n':>14s} {'I(n)':>20s} {'spread':>12s}"
-        print(header)
+
+    def human() -> None:
+        print(f"{'n':>14s} {'I(n)':>20s} {'spread':>12s}")
         for row in rows:
             print(
                 f"{_fmt10(row.n):>14s} {_fmt10(row.trig_form):>20s}"
                 f" {row.max_pairwise_spread:>12.3e}"
             )
+
+    dicts = [_row_dict(row) for row in rows]
+    _emit(args, dicts, EVAL_FIELDS, dicts, human)
     return _spread_gate(args.tol, rows)[1]
 
 

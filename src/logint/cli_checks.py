@@ -2,9 +2,9 @@
 
 ``cli`` imports this module only when one of the two runs, so a cold
 ``logint eval`` or ``logint table`` never compiles it.  The handlers reach
-the shared formatting and output helpers, the field lists and the exit
-codes through the ``cli`` module (``cli._write_csv``, ``cli._fmt17``,
-``cli.EXIT_OK``), where a caller or a test may replace them.
+the shared output path, the formatting helpers, the field lists and the
+exit codes through the ``cli`` module (``cli._emit``, ``cli._write_csv``,
+``cli._fmt17``, ``cli.EXIT_OK``), where a caller or a test may replace them.
 """
 
 from __future__ import annotations
@@ -35,28 +35,16 @@ def _collect_reports(
 
 
 def _report_dict(report: routes.VerificationReport) -> dict:
-    return {
-        "subject": report.subject.value,
-        "max_abs_deviation": report.max_abs_deviation,
-        "tolerance": report.tolerance,
-        "pass": report.passed,
-        "worst_point": list(report.worst_point),
-    }
+    return dict(zip(cli.VERIFY_FIELDS, (
+        report.subject.value, report.max_abs_deviation, report.tolerance,
+        report.passed, list(report.worst_point),
+    )))
 
 
 def _run_verify(args: argparse.Namespace) -> int:
     reports = _collect_reports(args.subject, args.quad_tol, args.tol)
-    if args.fmt == "json":
-        cli._print_json([_report_dict(r) for r in reports])
-    elif args.fmt == "csv":
-        rows = []
-        for r in reports:
-            d = _report_dict(r)
-            d["pass"] = "true" if r.passed else "false"
-            d["worst_point"] = ";".join(cli._fmt17(p) for p in r.worst_point)
-            rows.append(d)
-        cli._write_csv(cli.VERIFY_FIELDS, rows)
-    elif not args.quiet:
+
+    def human() -> None:
         for r in reports:
             state = "PASS" if r.passed else "FAIL"
             point = ", ".join(cli._fmt10(p) for p in r.worst_point)
@@ -65,6 +53,14 @@ def _run_verify(args: argparse.Namespace) -> int:
                 f"  max deviation {r.max_abs_deviation:.3e}"
                 f" (tol {r.tolerance:g}) worst at ({point})"
             )
+
+    payload = [_report_dict(r) for r in reports]
+    rows = [
+        {**d, "pass": "true" if r.passed else "false",
+         "worst_point": ";".join(cli._fmt17(p) for p in r.worst_point)}
+        for d, r in zip(payload, reports)
+    ]
+    cli._emit(args, payload, cli.VERIFY_FIELDS, rows, human)
     if any(math.isinf(r.max_abs_deviation) for r in reports):
         return cli.EXIT_NO_CONVERGENCE
     if any(not r.passed for r in reports):
@@ -84,21 +80,18 @@ def _parse_n_list(text: str) -> list[float]:
 
 def _run_limit(args: argparse.Namespace) -> int:
     probe = routes.limit_probe(_parse_n_list(args.n_list))
-    rows = [
-        {"n": n, "value": value, "residual": residual, "residual_n2": residual * n * n}
-        for n, value, residual in probe
-    ]
-    if args.fmt == "json":
-        cli._print_json(rows)
-    elif args.fmt == "csv":
-        cli._write_csv(cli.LIMIT_FIELDS, rows)
-    elif not args.quiet:
+    rows = [dict(zip(cli.LIMIT_FIELDS, (n, value, residual, residual * n * n)))
+            for n, value, residual in probe]
+
+    def human() -> None:
         print(f"{'n':>14s} {'I(n)':>20s} {'I(n)+1':>14s} {'(I(n)+1)*n^2':>14s}")
         for row in rows:
             print(
                 f"{cli._fmt10(row['n']):>14s} {cli._fmt10(row['value']):>20s}"
                 f" {row['residual']:>14.6e} {row['residual_n2']:>14.10f}"
             )
+
+    cli._emit(args, rows, cli.LIMIT_FIELDS, rows, human)
     residuals = [row["residual"] for row in rows]
     decreasing = all(b < a for a, b in zip(residuals, residuals[1:]))
     return cli.EXIT_OK if decreasing else cli.EXIT_VERIFICATION_FAILED

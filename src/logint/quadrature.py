@@ -8,8 +8,10 @@ folds the real line at zero into one half-line integral of f(t) + f(-t).
 ``integrate_finite`` maps (0, inf) onto (a, b) by
 x = a + (b - a) u^2/(1 + u^2); on the exp-sinh nodes u = exp((pi/2) sinh t)
 that gives x = mid + halfspan * tanh((pi/2) sinh t) and the tanh-sinh
-weights, so it is the tanh-sinh rule walked on the exp-sinh ladder.  Every
-route integral runs on the semi-infinite and bilateral entry points.
+weights, so it is the tanh-sinh rule walked on the exp-sinh ladder.  The
+quadrature route ``numeric_I`` and the lemma1 verifier call
+``integrate_semi_infinite`` itself; nothing in the package calls the other
+two entry points.
 
 Refinement halves the trapezoid step once per level.  The nodes of a level
 do not depend on the integrand, so the engine keeps one list of row tuples

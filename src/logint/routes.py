@@ -13,11 +13,11 @@ throughout, checked on entry by ``_check_n``.
 
 The numeric re-execution of the identity chain (the sec/csc form, the
 lemma1 integrands, ``verify_lemma1`` to ``verify_theorem`` and their
-default grids and tolerances) lives in ``verify``.  Its public names stay
-in this module's ``__all__``: ``__getattr__`` imports ``verify`` on first
-access to one of them and binds the name here, so ``routes.verify_theorem``
-keeps working while ``logint eval`` and ``logint table`` never load the
-verifiers.
+default grids and tolerances) lives in ``verify``.  Its public names are
+listed once, in ``_VERIFIERS``, which is ``verify``'s ``__all__`` and ends
+this module's: ``__getattr__`` imports ``verify`` on first access to one of
+them and binds the name here, so ``routes.verify_theorem`` keeps working
+while ``logint eval`` and ``logint table`` never load the verifiers.
 """
 
 from __future__ import annotations
@@ -31,22 +31,15 @@ from .quadrature import QuadratureOutcome, integrate_semi_infinite
 # microseconds
 from .specfun import _gamma_pairs, _trigamma_pairs
 
-__all__ = [
+_VERIFIERS = (
     "Subject",
     "VerificationReport",
-    "EvaluationRow",
-    "closed_form_trig",
-    "closed_form_trigamma",
-    "closed_form_gamma_derivative",
     "intermediate_form",
-    "numeric_I",
-    "evaluate_all_routes",
     "lemma1_integrand",
     "verify_lemma1",
     "verify_lemma2",
     "verify_lemma3",
     "verify_theorem",
-    "limit_probe",
     "DEFAULT_LEMMA1_GRID",
     "DEFAULT_LEMMA2_GRID",
     "DEFAULT_LEMMA3_GRID",
@@ -55,18 +48,26 @@ __all__ = [
     "DEFAULT_LEMMA2_TOL",
     "DEFAULT_LEMMA3_TOL",
     "DEFAULT_THEOREM_TOL",
+)
+
+__all__ = [
+    "EvaluationRow",
+    "closed_form_trig",
+    "closed_form_trigamma",
+    "closed_form_gamma_derivative",
+    "numeric_I",
+    "evaluate_all_routes",
+    "limit_probe",
+    *_VERIFIERS,
 ]
 
 _HALF_PI = math.pi / 2.0
 
 
 def __getattr__(name: str) -> object:
-    """Import ``verify`` for one of its names in ``__all__`` and bind it here.
-
-    Every name in ``__all__`` that this module does not define is one of
-    ``verify``'s; any other missing name is an AttributeError, as usual.
-    """
-    if name not in __all__:
+    """Import ``verify`` for one of its names in ``_VERIFIERS`` and bind it
+    here; any other missing name is an AttributeError, as usual."""
+    if name not in _VERIFIERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import verify
 

@@ -15,7 +15,8 @@ The verification subjects follow the derivation chain:
 
 ``routes.evaluate_all_routes`` compares a different four: the paper's
 Result line, with the differentiated gamma product in place of the sec/csc
-form.  Every public name here is also reachable as ``routes.<name>``.
+form.  Every public name here is also reachable as ``routes.<name>``;
+``__all__`` is ``routes._VERIFIERS``, where the names are listed once.
 The verifiers look the routes, the engine and the special functions up
 through their modules at call time (``routes.numeric_I``,
 ``quadrature.integrate_semi_infinite``, ``specfun._polygamma_pair``,
@@ -32,25 +33,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 from . import quadrature, routes, specfun
-
-__all__ = [
-    "Subject",
-    "VerificationReport",
-    "intermediate_form",
-    "lemma1_integrand",
-    "verify_lemma1",
-    "verify_lemma2",
-    "verify_lemma3",
-    "verify_theorem",
-    "DEFAULT_LEMMA1_GRID",
-    "DEFAULT_LEMMA2_GRID",
-    "DEFAULT_LEMMA3_GRID",
-    "DEFAULT_THEOREM_GRID",
-    "DEFAULT_LEMMA1_TOL",
-    "DEFAULT_LEMMA2_TOL",
-    "DEFAULT_LEMMA3_TOL",
-    "DEFAULT_THEOREM_TOL",
-]
+from .routes import _VERIFIERS as __all__
 
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0

@@ -481,15 +481,20 @@ def test_table_log_spacing_grid(capsys):
     assert ns[2] == pytest.approx(12.0, rel=1e-12)
 
 
-def test_limit_csv(capsys):
-    _, out, _ = run_cli(
-        ["limit", "--n-list", "10,100", "--format", "csv"], capsys
-    )
-    assert out == (
-        "n,value,residual,residual_n2\n"
-        "10,-0.98297244282975726,0.017027557170242735,1.7027557170242735\n"
-        "100,-0.99983544976148864,0.00016455023851136286,1.6455023851136286\n"
-    )
+# limit reads only the trig form, so its bytes are pinned in every format
+@pytest.mark.parametrize("fmt, expected", [
+    ("csv",
+     "n,value,residual,residual_n2\n"
+     "10,-0.98297244282975726,0.017027557170242735,1.7027557170242735\n"
+     "100,-0.99983544976148864,0.00016455023851136286,1.6455023851136286\n"),
+    ("human",
+     "             n                 I(n)         I(n)+1   (I(n)+1)*n^2\n"
+     "            10        -0.9829724428   1.702756e-02   1.7027557170\n"
+     "           100        -0.9998354498   1.645502e-04   1.6455023851\n"),
+], ids=["csv", "human"])
+def test_limit_csv(fmt, expected, capsys):
+    _, out, _ = run_cli(["limit", "--n-list", "10,100", "--format", fmt], capsys)
+    assert out == expected
 
 
 def test_verify_csv(capsys):
@@ -555,9 +560,15 @@ def test_csv_writer_matches_the_stdlib_writer_on_edge_values(capsys):
 
 # ------------------------------------------------------------------ quiet
 
-def test_quiet_silences_human_output_only(capsys):
-    code_loud, loud, _ = run_cli(["eval", "--n", "3"], capsys)
-    code_quiet, quiet, _ = run_cli(["eval", "--n", "3", "--quiet"], capsys)
+@pytest.mark.parametrize("args", [
+    ["eval", "--n", "3"],
+    ["table", "--min", "1.5", "--max", "4", "--steps", "3"],
+    ["verify", "--subject", "lemma3"],
+    ["limit", "--n-list", "10,100"],
+], ids=["eval", "table", "verify", "limit"])
+def test_quiet_silences_human_output_only(args, capsys):
+    code_loud, loud, _ = run_cli(args, capsys)
+    code_quiet, quiet, _ = run_cli(args + ["--quiet"], capsys)
     assert loud != "" and quiet == ""
     assert code_loud == code_quiet
 
