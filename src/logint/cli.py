@@ -25,7 +25,7 @@ import sys
 from typing import Callable, Sequence
 
 from . import routes
-from .quadrature import _check_tol
+from .quadrature import _DEFAULT_TOL, _check_tol
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -203,9 +203,9 @@ _OUTPUT_FLAGS = (
 _TOLERANCE_FLAGS = (
     ("--tol", {"type": float, "default": None,
                "help": "pass/fail threshold (finite, > 0); never changes quadrature internals"}),
-    ("--quad-tol", {"type": float, "default": 1e-10, "help": (
+    ("--quad-tol", {"type": float, "default": _DEFAULT_TOL, "help": (
         "quadrature tolerance: converged once the error estimate is at most"
-        " QUAD_TOL * max(1, |I|); finite and > 0 (default: 1e-10)"
+        " QUAD_TOL * max(1, |I|); finite and > 0 (default: %(default)g)"
     )}),
 )
 

@@ -67,6 +67,7 @@ __all__ = [
 
 _EPS = sys.float_info.epsilon
 _HALF_PI = math.pi / 2.0
+_DEFAULT_TOL = 1e-10  # also the routes', the verifiers' and --quad-tol's default
 
 # The first level that may claim convergence, the first with three level
 # differences behind its error estimate.
@@ -193,7 +194,7 @@ def _refine(
 def integrate_semi_infinite(
     f: Callable[[float], float],
     a: float,
-    tol: float = 1e-10,
+    tol: float = _DEFAULT_TOL,
 ) -> QuadratureOutcome:
     """Integrate f over (a, inf); f must decay fast enough to be integrable.
 
@@ -295,7 +296,7 @@ def integrate_semi_infinite(
 
 def integrate_bilateral(
     f: Callable[[float], float],
-    tol: float = 1e-10,
+    tol: float = _DEFAULT_TOL,
 ) -> QuadratureOutcome:
     """Integrate f over the whole real line, folded at zero.
 
@@ -312,7 +313,7 @@ def integrate_finite(
     f: Callable[[float], float],
     a: float,
     b: float,
-    tol: float = 1e-10,
+    tol: float = _DEFAULT_TOL,
 ) -> QuadratureOutcome:
     """Integrate f over the open interval (a, b), with a, b and b - a finite.
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .quadrature import QuadratureOutcome, integrate_semi_infinite
+from .quadrature import _DEFAULT_TOL, QuadratureOutcome, integrate_semi_infinite
 # bound by name: CPython does not specialize attribute loads on a module
 # that defines __getattr__, as specfun does, and a closed form takes a few
 # microseconds
@@ -176,7 +176,7 @@ def closed_form_gamma_derivative(n: float) -> float:
     return (math.exp(lg) / bn) * (psi / v + c / (a * bn))
 
 
-def numeric_I(n: float, quad_tol: float = 1e-10) -> QuadratureOutcome:
+def numeric_I(n: float, quad_tol: float = _DEFAULT_TOL) -> QuadratureOutcome:
     """Direct quadrature of the defining integral; the oracle route.
 
     x = e^(-s) on (0, 1) and x = e^s on (1, inf) fold both halves onto
@@ -215,7 +215,7 @@ def numeric_I(n: float, quad_tol: float = 1e-10) -> QuadratureOutcome:
     return integrate_semi_infinite(integrand, 0.0, quad_tol)
 
 
-def evaluate_all_routes(n: float, quad_tol: float = 1e-10) -> EvaluationRow:
+def evaluate_all_routes(n: float, quad_tol: float = _DEFAULT_TOL) -> EvaluationRow:
     """The paper's Result line, route by route, and their widest disagreement.
 
     Routes: the trig form, the trigamma combination, the differentiated

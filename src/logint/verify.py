@@ -24,13 +24,17 @@ through their modules at call time (``routes.numeric_I``,
 tracer may replace them.  lemma1 and lemma2 take their polygamma side
 from the paired kernel ``_polygamma_pair``, one shift loop over both
 arguments, and only they load ``special``, where it is defined.
+
+Each verifier is a per-point ``check`` over its grid; every (point,
+deviation) pair passes through ``_make_report``, the one loop that judges
+the points and builds the report.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import quadrature, routes, specfun
 from .routes import _VERIFIERS as __all__
@@ -80,24 +84,27 @@ class VerificationReport(_VerificationFields):
 
 def _make_report(
     subject: Subject,
-    points: Sequence[tuple[float, ...]],
-    deviations: Sequence[float],
+    checks: Iterable[tuple[tuple[float, ...], float]],
     tolerance: float,
 ) -> VerificationReport:
-    worst_i = 0
-    worst = -1.0
-    for i, dev in enumerate(deviations):
+    """One pass over (point, deviation) pairs in grid order; a nan deviation
+    counts as inf, and the first of equal worst deviations is the worst point.
+    """
+    points = []
+    worst, worst_point = -1.0, ()  # empty grid: the report raises
+    for point, dev in checks:
+        points.append(point)
         if math.isnan(dev):
             dev = math.inf
         if dev > worst:
-            worst, worst_i = dev, i
+            worst, worst_point = dev, point
     return VerificationReport(
         subject=subject,
         grid=tuple(points),
         max_abs_deviation=worst,
         tolerance=tolerance,
         passed=worst <= tolerance,
-        worst_point=points[worst_i] if points else (),  # empty grid: the report raises
+        worst_point=worst_point,
     )
 
 
@@ -226,7 +233,7 @@ DEFAULT_THEOREM_TOL = 1e-6
 def verify_lemma1(
     m: int,
     z_grid: Sequence[float] = DEFAULT_LEMMA1_GRID,
-    quad_tol: float = 1e-10,
+    quad_tol: float = quadrature._DEFAULT_TOL,
     tol: float = DEFAULT_LEMMA1_TOL,
 ) -> VerificationReport:
     """Quadrature of the lemma1 integral vs. the polygamma side.
@@ -241,14 +248,13 @@ def verify_lemma1(
     1 - 1e-5.  Quadrature non-convergence surfaces as an infinite
     deviation.
     """
-    points: list[tuple[float, ...]] = []
-    deviations: list[float] = []
-    for z in z_grid:
+    def check(z: float) -> tuple[tuple[float, ...], float]:
         outcome = quadrature.integrate_semi_infinite(_lemma1_scaled(m, z), 0.0, quad_tol)
         rhs = specfun._polygamma_pair(m, z)
-        deviations.append(abs(outcome.value - rhs) if outcome.converged else math.inf)
-        points.append((float(m), float(z)))
-    return _make_report(Subject.LEMMA1, points, deviations, tol)
+        dev = abs(outcome.value - rhs) if outcome.converged else math.inf
+        return (float(m), float(z)), dev
+
+    return _make_report(Subject.LEMMA1, map(check, z_grid), tol)
 
 
 def verify_lemma2(
@@ -268,19 +274,17 @@ def verify_lemma2(
     """
     if not isinstance(m_max, int) or isinstance(m_max, bool) or not (1 <= m_max <= 3):
         raise specfun.UnsupportedOrderError(f"m_max must be 1, 2 or 3, got {m_max!r}")
-    points: list[tuple[float, ...]] = []
-    deviations: list[float] = []
-    for m in range(1, m_max + 1):
+
+    def check(m: int, z: float) -> tuple[tuple[float, ...], float]:
+        if not (0.05 < z < 0.95):
+            raise ValueError(f"z grid must stay inside (0.05, 0.95), got {z!r}")
+        lhs = specfun._polygamma_pair(m, z)
         cot_sign = -1.0 if m % 2 else 1.0
-        pi_power = math.pi ** (m + 1)
-        for z in z_grid:
-            if not (0.05 < z < 0.95):
-                raise ValueError(f"z grid must stay inside (0.05, 0.95), got {z!r}")
-            lhs = specfun._polygamma_pair(m, z)
-            rhs = cot_sign * pi_power * specfun.cot_derivative(m, math.pi * z)
-            deviations.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
-            points.append((float(m), float(z)))
-    return _make_report(Subject.LEMMA2, points, deviations, tol)
+        rhs = cot_sign * math.pi ** (m + 1) * specfun.cot_derivative(m, math.pi * z)
+        return (float(m), float(z)), abs(lhs - rhs) / max(1.0, abs(rhs))
+
+    checks = (check(m, z) for m in range(1, m_max + 1) for z in z_grid)
+    return _make_report(Subject.LEMMA2, checks, tol)
 
 
 def verify_lemma3(
@@ -288,24 +292,21 @@ def verify_lemma3(
     tol: float = DEFAULT_LEMMA3_TOL,
 ) -> VerificationReport:
     """sec^2 x - csc^2 x vs. -4 cot 2x csc 2x, pointwise on the grid."""
-    points: list[tuple[float, ...]] = []
-    deviations: list[float] = []
-    for x in x_grid:
+    def check(x: float) -> tuple[tuple[float, ...], float]:
         s2 = math.sin(2.0 * x)
         if abs(s2) <= 1e-6:
             raise ValueError(f"grid point {x!r} is too close to a pole of the identity")
-        c = math.cos(x)
-        s = math.sin(x)
+        c, s = math.cos(x), math.sin(x)
         lhs = 1.0 / (c * c) - 1.0 / (s * s)
         rhs = -4.0 * math.cos(2.0 * x) / (s2 * s2)
-        deviations.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
-        points.append((float(x),))
-    return _make_report(Subject.LEMMA3, points, deviations, tol)
+        return (float(x),), abs(lhs - rhs) / max(1.0, abs(rhs))
+
+    return _make_report(Subject.LEMMA3, map(check, x_grid), tol)
 
 
 def verify_theorem(
     n_grid: Sequence[float] = DEFAULT_THEOREM_GRID,
-    quad_tol: float = 1e-10,
+    quad_tol: float = quadrature._DEFAULT_TOL,
     tol: float = DEFAULT_THEOREM_TOL,
 ) -> VerificationReport:
     """Spread across the derivation chain's four forms of I(n), per grid point.
@@ -315,9 +316,7 @@ def verify_theorem(
     The sec/csc form stands where ``evaluate_all_routes`` has the gamma
     product, so lemma3's collapse is checked at every grid point.
     """
-    points: list[tuple[float, ...]] = []
-    deviations: list[float] = []
-    for n in n_grid:
+    def check(n: float) -> tuple[tuple[float, ...], float]:
         v = routes._check_n(n)
         quad = routes.numeric_I(v, quad_tol)
         values = (
@@ -326,7 +325,6 @@ def verify_theorem(
             routes.intermediate_form(v),
             routes.closed_form_trig(v),
         )
-        spread = max(values) - min(values) if quad.converged else math.inf
-        deviations.append(spread)
-        points.append((v,))
-    return _make_report(Subject.THEOREM1, points, deviations, tol)
+        return (v,), (max(values) - min(values) if quad.converged else math.inf)
+
+    return _make_report(Subject.THEOREM1, map(check, n_grid), tol)

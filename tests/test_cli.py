@@ -273,6 +273,30 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert all(f"'{name}'" in err for name in ("eval", "table", "verify", "limit"))
 
 
+# Each xfail below is a known defect that the ROADMAP item in its reason
+# names.  A fix turns it into an unexpected pass, which fails the run until
+# the mark is removed.
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: the absolute spread gate refuses routes that agree to 4.9e-15 of |I|"))
+def test_eval_passes_where_the_routes_agree_relative_to_the_integral(capsys):
+    code, out, _ = run_cli(["eval", "--n", "1.00003", "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert payload["spread"] <= 1e-14 * abs(payload["trig_form"])
+    assert code == cli.EXIT_OK
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 3: the residual I + 1 cancels to rounding noise past n = 1e7"))
+def test_limit_residual_n2_tends_to_pi_squared_over_six(capsys):
+    code, out, _ = run_cli(
+        ["limit", "--n-list", "1e4,1e6,1e7,1e8,1e9,1e10", "--format", "json"], capsys
+    )
+    target = math.pi**2 / 6.0
+    assert all(abs(row["residual_n2"] - target) <= 1e-6 * target for row in json.loads(out))
+    assert code == cli.EXIT_OK
+
+
 # ----------------------------------------------------------------- parser
 
 def parse_counting_parsers(argv, monkeypatch, capsys):

@@ -769,6 +769,39 @@ def test_verifiers_reject_an_empty_grid(verify):
         verify()
 
 
+def test_make_report_walks_the_checks_once_in_grid_order():
+    lemma3 = rt.Subject.LEMMA3
+    # on equal deviations the first point stays the worst point
+    tied = verify._make_report(
+        lemma3, iter([((0.1,), 1e-15), ((0.2,), 2e-15), ((0.3,), 2e-15)]), 1e-12
+    )
+    assert tied == rt.VerificationReport(
+        lemma3, ((0.1,), (0.2,), (0.3,)), 2e-15, 1e-12, True, (0.2,)
+    )
+    # a nan deviation counts as inf, and fails
+    lost = verify._make_report(lemma3, [((0.1,), 0.0), ((0.2,), math.nan)], 1e-12)
+    assert lost.max_abs_deviation == math.inf
+    assert not lost.passed and lost.worst_point == (0.2,)
+
+    class Refused(Exception):
+        pass
+
+    refused = Refused("second point")
+    seen = []
+
+    def check(x):
+        seen.append(x)
+        if len(seen) == 2:
+            raise refused
+        return (x,), 0.0
+
+    with pytest.raises(Refused) as caught:
+        verify._make_report(lemma3, map(check, (0.1, 0.2, 0.3)), 1e-12)
+    assert caught.value is refused and seen == [0.1, 0.2]
+    with pytest.raises(ValueError, match="verification grid must not be empty"):
+        verify._make_report(lemma3, iter(()), 1e-12)
+
+
 def test_report_invariants_enforced():
     with pytest.raises(ValueError):
         rt.VerificationReport(
