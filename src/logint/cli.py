@@ -9,11 +9,12 @@ entries here import only when one of those commands runs, so a cold
 ``logint eval`` compiles none of them.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (or stdout
-closed before the payload was written, as by ``| head``), 2 usage or
-domain error, 3 quadrature non-convergence (or an eval/table spread above
-the pass threshold, or an arithmetic error such as an overflow inside a
-route).  CSV and JSON payloads are stable machine formats;
-``--quiet`` silences the human rendering and nothing else.
+closed before the payload was written, as by ``| head``), 2 usage or domain
+error, 3 quadrature non-convergence (or an eval/table spread above
+``--tol``, by default ``routes._SPREAD_THRESHOLD``, which is also
+``verify.DEFAULT_THEOREM_TOL``; or an arithmetic error inside a route).  CSV
+and JSON payloads are stable machine formats; ``--quiet`` silences the human
+rendering and nothing else.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ EVAL_FIELDS = (
 )
 VERIFY_FIELDS = ("subject", "max_abs_deviation", "tolerance", "pass", "worst_point")
 LIMIT_FIELDS = ("n", "value", "residual", "residual_n2")
-
-_DEFAULT_SPREAD_THRESHOLD = 1e-6
 
 # The most rows one ``table`` builds; the whole grid is held in memory.
 _MAX_TABLE_STEPS = 1_000_000
@@ -107,20 +106,12 @@ def _row_dict(row: routes.EvaluationRow) -> dict:
     )))
 
 
-def _spread_gate(tol: float | None, rows: list[routes.EvaluationRow]) -> tuple[float, int]:
-    # eval's and table's pass threshold (--tol, else the default) and the exit code it sets
-    threshold = _DEFAULT_SPREAD_THRESHOLD if tol is None else tol
-    if any(not r.quadrature.converged or r.max_pairwise_spread > threshold for r in rows):
-        return threshold, EXIT_NO_CONVERGENCE
-    return threshold, EXIT_OK
-
-
 def _run_eval(args: argparse.Namespace) -> int:
     row = routes.evaluate_all_routes(args.n, args.quad_tol)
-    threshold, code = _spread_gate(args.tol, [row])
+    quad, spread = row.quadrature, row.max_pairwise_spread
+    threshold = routes._SPREAD_THRESHOLD if args.tol is None else args.tol
 
     def human() -> None:
-        quad = row.quadrature
         print(f"I(n) for n = {_fmt10(row.n)}")
         print(f"  trig closed form       {_fmt10(row.trig_form)}")
         print(f"  trigamma closed form   {_fmt10(row.trigamma_form)}")
@@ -131,15 +122,15 @@ def _run_eval(args: argparse.Namespace) -> int:
             f" {quad.evaluations} evaluations,"
             f" {'converged' if quad.converged else 'NOT converged'})"
         )
-        verdict = "ok" if row.max_pairwise_spread <= threshold else "EXCEEDED"
+        verdict = "ok" if spread <= threshold else "EXCEEDED"
         print(
-            f"  max route spread       {row.max_pairwise_spread:.3e}"
+            f"  max route spread       {spread:.3e}"
             f"  [threshold {threshold:g}: {verdict}]"
         )
 
     payload = _row_dict(row)
     _emit(args, payload, EVAL_FIELDS, [payload], human)
-    return code
+    return EXIT_NO_CONVERGENCE if routes._route_deviation(quad, spread) > threshold else EXIT_OK
 
 
 def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
@@ -179,7 +170,9 @@ def _run_table(args: argparse.Namespace) -> int:
 
     dicts = [_row_dict(row) for row in rows]
     _emit(args, dicts, EVAL_FIELDS, dicts, human)
-    return _spread_gate(args.tol, rows)[1]
+    threshold = routes._SPREAD_THRESHOLD if args.tol is None else args.tol
+    deviations = (routes._route_deviation(r.quadrature, r.max_pairwise_spread) for r in rows)
+    return EXIT_NO_CONVERGENCE if any(d > threshold for d in deviations) else EXIT_OK
 
 
 def _run_verify(args: argparse.Namespace) -> int:

@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
+_SPREAD_THRESHOLD = 1e-6  # eval's, table's and verify_theorem's default for _route_deviation
 
 
 def __getattr__(name: str) -> object:
@@ -237,6 +238,11 @@ def evaluate_all_routes(n: float, quad_tol: float = _DEFAULT_TOL) -> EvaluationR
         quadrature=quad,
         max_pairwise_spread=max(values) - min(values),
     )
+
+
+def _route_deviation(quad: QuadratureOutcome, spread: float) -> float:
+    """The spread a threshold judges, or inf where quadrature did not converge."""
+    return spread if quad.converged else math.inf
 
 
 def limit_probe(n_list: Sequence[float]) -> list[tuple[float, float, float]]:

@@ -227,7 +227,7 @@ DEFAULT_THEOREM_GRID = (1.5, 2.0, math.e, 3.0, 4.0, 10.0, 100.0)
 DEFAULT_LEMMA1_TOL = 1e-6
 DEFAULT_LEMMA2_TOL = 1e-9
 DEFAULT_LEMMA3_TOL = 1e-12
-DEFAULT_THEOREM_TOL = 1e-6
+DEFAULT_THEOREM_TOL = routes._SPREAD_THRESHOLD
 
 
 def verify_lemma1(
@@ -283,6 +283,7 @@ def verify_lemma2(
         rhs = cot_sign * math.pi ** (m + 1) * specfun.cot_derivative(m, math.pi * z)
         return (float(m), float(z)), abs(lhs - rhs) / max(1.0, abs(rhs))
 
+    z_grid = tuple(z_grid)  # one pass per order, so an iterator must not run dry
     checks = (check(m, z) for m in range(1, m_max + 1) for z in z_grid)
     return _make_report(Subject.LEMMA2, checks, tol)
 
@@ -325,6 +326,6 @@ def verify_theorem(
             routes.intermediate_form(v),
             routes.closed_form_trig(v),
         )
-        return (v,), (max(values) - min(values) if quad.converged else math.inf)
+        return (v,), routes._route_deviation(quad, max(values) - min(values))
 
     return _make_report(Subject.THEOREM1, map(check, n_grid), tol)

@@ -46,17 +46,28 @@ def test_eval_domain_error(capsys):
 
 
 def test_eval_spread_threshold_failure(capsys):
-    # |I| ~ 1e14 here, so the routes' rounding alone spreads them by ~0.4,
-    # far above the default 1e-6 gate
-    code, out, _ = run_cli(["eval", "--n", "1.0000001"], capsys)
-    assert code == cli.EXIT_NO_CONVERGENCE
-    assert "EXCEEDED" in out
+    for args in (
+        # |I| ~ 1e14 here, so the routes' rounding alone spreads them by ~0.4,
+        # far above the default 1e-6 gate
+        ["--n", "1.0000001"],
+        # converged routes that agree to 7e-16 still exceed a threshold below it
+        ["--n", "3", "--tol", "1e-30"],
+    ):
+        code, out, _ = run_cli(["eval", *args], capsys)
+        assert code == cli.EXIT_NO_CONVERGENCE, args
+        assert "converged)" in out and "NOT converged" not in out, args
+        assert "EXCEEDED" in out, args
 
 
 def test_eval_quadrature_nonconvergence(capsys):
-    # a tolerance below the roundoff floor can never be certified
-    code, _, _ = run_cli(["eval", "--n", "3", "--quad-tol", "1e-16"], capsys)
+    # a tolerance below the roundoff floor can never be certified; the spread
+    # alone is within the threshold, and non-convergence alone sets exit 3
+    code, out, _ = run_cli(["eval", "--n", "3", "--quad-tol", "1e-16"], capsys)
     assert code == cli.EXIT_NO_CONVERGENCE
+    assert "NOT converged" in out
+    # eval's default threshold is the theorem verifier's default tolerance
+    assert f"[threshold {routes.verify_theorem().tolerance:g}: ok]" in out
+    assert "[threshold 1e-06: ok]" in out
 
 
 def test_eval_arithmetic_error_is_no_convergence(capsys, monkeypatch):

@@ -695,6 +695,8 @@ def test_lemma1_quadrature_is_honest(m, z):
 def test_verify_lemma2_passes_and_matches_cosecant_form():
     report = rt.verify_lemma2()
     assert report.passed, report.max_abs_deviation
+    # a one-shot iterator grid is checked at every order, as its tuple is
+    assert rt.verify_lemma2(2, iter((0.3, 0.4))) == rt.verify_lemma2(2, (0.3, 0.4))
     for z in rt.DEFAULT_LEMMA2_GRID:
         lhs = specfun.trigamma(1.0 - z) + specfun.trigamma(z)
         rhs = PI2 / math.sin(math.pi * z) ** 2

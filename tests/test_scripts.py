@@ -1,6 +1,8 @@
-"""The scripts in scripts/ run end to end and print their header."""
+"""The scripts in scripts/ run end to end and print their header, and the CLI
+golden corpus in tests/golden/ replays byte for byte."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +12,20 @@ import pytest
 import logint
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def run_script(path, *args):
+    # the child must import the same logint, installed or not
+    src = os.path.dirname(os.path.dirname(logint.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, path, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -29,16 +45,14 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
     ],
 )
 def test_script_runs_and_prints_its_header(script, args, header):
-    # the child must import the same logint, installed or not
-    src = os.path.dirname(os.path.dirname(logint.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(SCRIPTS, script), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = run_script(os.path.join(SCRIPTS, script), *args)
     assert proc.returncode == 0, proc.stderr
     # the header is right-aligned columns; compare its words
     assert proc.stdout.splitlines()[0].split() == header.split()
+
+
+def test_golden_cli_corpus_replays_byte_identical():
+    with open(os.path.join(GOLDEN, "cli.json"), encoding="utf-8") as f:
+        assert {record["exit"] for record in json.load(f)} == {0, 1, 2, 3}
+    proc = run_script(os.path.join(GOLDEN, "replay.py"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
