@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
+_PI_SQUARED = math.pi * math.pi
 _SPREAD_THRESHOLD = 1e-6  # eval's, table's and verify_theorem's default for _route_deviation
 
 
@@ -77,16 +78,23 @@ def __getattr__(name: str) -> object:
 
 
 def _check_n(n: float) -> float:
-    """The exponent of x**n + 1 as a float; the tail integral needs n > 1."""
-    v = float(n)
+    """The exponent of x**n + 1 as a float; the tail integral needs n > 1.
+
+    An int beyond the double range, such as 10**400, is refused as not
+    finite, as inf is, instead of letting float() raise OverflowError.
+    """
+    try:
+        v = float(n)
+    except OverflowError:
+        v = math.inf if n > 0 else -math.inf
+    if 1.0 < v < math.inf:
+        return v
     if not math.isfinite(v):
         raise ValueError(f"exponent must be finite, got {v!r}")
-    if v <= 1.0:
-        raise ValueError(
-            "n must exceed 1: for n <= 1 the integrand decays like ln(x)/x "
-            f"or slower and the integral diverges (got {v!r})"
-        )
-    return v
+    raise ValueError(
+        "n must exceed 1: for n <= 1 the integrand decays like ln(x)/x "
+        f"or slower and the integral diverges (got {v!r})"
+    )
 
 
 class EvaluationRow(NamedTuple):
@@ -113,10 +121,11 @@ def closed_form_trig(n: float) -> float:
     v = _check_n(n)
     c = math.sin(_HALF_PI * ((2.0 - v) / v))  # -cos(pi/n)
     s = math.sin(math.pi * ((v - 1.0) / v)) if v < 2.0 else math.sin(math.pi / v)
-    if math.isinf(v * v):
+    vv = v * v
+    if vv == math.inf:
         r = (math.pi / v) / s
         return c * (r * r)
-    return (math.pi * math.pi) / (v * v) * c / (s * s)
+    return _PI_SQUARED / vv * c / (s * s)
 
 
 def closed_form_trigamma(n: float) -> float:
@@ -141,13 +150,14 @@ def closed_form_trigamma(n: float) -> float:
     """
     v = _check_n(n)
     half = 0.5 / v
-    if math.isinf(4.0 * v * v):
+    vv4 = 4.0 * v * v
+    if vv4 == math.inf:
         r = 0.5 / (half * v)
         return -(r * r)
     low = 0.5 * ((v - 1.0) / v) if v < 2.0 else 0.5 - half
     delta = 0.5 * ((v - 2.0) / v)
     combo = _trigamma_pairs(low, half, 1.0 - half, 0.5 + half, delta)
-    return combo / (4.0 * v * v)
+    return combo / vv4
 
 
 def closed_form_gamma_derivative(n: float) -> float:

@@ -131,18 +131,32 @@ def _trigamma_pairs(x1: float, y1: float, x2: float, y2: float, delta: float) ->
     w_1 = delta a b, w_2 = (a + b) w_1 and w_(p+2) = b^2 w_p + a^p w_2, so
     only the odd powers the Bernoulli terms need are formed.
     """
+    # one name per statement: a multiple assignment would build and unpack a
+    # tuple on every step
     acc = 0.0
     for k in _PAIR_SHIFTS:
-        u1, v1, u2, v2 = x1 + k, y1 + k, x2 + k, y2 + k
-        p, q = u1 * v1, u2 * v2
+        u1 = x1 + k
+        v1 = y1 + k
+        u2 = x2 + k
+        v2 = y2 + k
+        p = u1 * v1
+        q = u2 * v2
         acc += (delta / q) * ((u2 + v2) / q) - (delta / p) * ((u1 + v1) / p)
-    a1, b1 = 1.0 / (x1 + 10.0), 1.0 / (y1 + 10.0)
-    a2, b2 = 1.0 / (x2 + 10.0), 1.0 / (y2 + 10.0)
-    w1, w2 = delta * a1 * b1, delta * a2 * b2  # w_1 of each pair
-    e1, e2 = (a1 + b1) * w1, (a2 + b2) * w2  # w_2
+    a1 = 1.0 / (x1 + 10.0)
+    b1 = 1.0 / (y1 + 10.0)
+    a2 = 1.0 / (x2 + 10.0)
+    b2 = 1.0 / (y2 + 10.0)
+    w1 = delta * a1 * b1  # w_1 of each pair
+    w2 = delta * a2 * b2
+    e1 = (a1 + b1) * w1  # w_2
+    e2 = (a2 + b2) * w2
     tail = (w2 - w1) + 0.5 * (e2 - e1)
-    aa1, bb1, aa2, bb2 = a1 * a1, b1 * b1, a2 * a2, b2 * b2
-    pa1, pa2 = a1, a2  # a^(2k-1)
+    aa1 = a1 * a1
+    bb1 = b1 * b1
+    aa2 = a2 * a2
+    bb2 = b2 * b2
+    pa1 = a1  # a^(2k-1)
+    pa2 = a2
     for c in _TRIGAMMA_SERIES:
         w1 = bb1 * w1 + pa1 * e1  # w_(2k+1)
         w2 = bb2 * w2 + pa2 * e2

@@ -1,20 +1,27 @@
 #!/usr/bin/env python3
-"""Replay the CLI golden corpus and compare it byte for byte.
+"""Replay the golden corpora and compare them byte for byte and bit for bit.
 
-Each invocation below runs in-process through ``logint.cli.main`` with
+Each CLI invocation below runs in-process through ``logint.cli.main`` with
 ``COLUMNS=80``, and its exit code, stdout and stderr are compared with
-those recorded in ``cli.json`` beside this script.  The corpus pins the
+those recorded in ``cli.json`` beside this script.  That corpus pins the
 output contract that a refactor must keep: every format, ``--quiet``,
-both tolerance flags, the help pages, and exits 0, 1, 2 and 3.  Standard
-library only, so it runs on every supported Python with nothing installed.
+both tolerance flags, the help pages, and exits 0, 1, 2 and 3.
 
-Replay prints one line per invocation that differs, is not recorded or is
-recorded but no longer listed, and exits 1 if there is any.  A change that
-moves output on purpose re-records with ``--record``, which prints the
-invocations that moved; nothing is re-recorded otherwise.
+Each library case below calls the routes or the verifiers directly, and
+its result, every float as ``float.hex``, is compared with the one
+recorded in ``library.json``: the closed forms, the sec/csc form and
+``numeric_I``'s outcome at fixed n from n - 1 = 2^-52 to the largest
+double, the default verification reports, and the type and message of
+each refusal of a bad n or a bad grid.  Standard library only, so both
+corpora replay on every supported Python with nothing installed.
+
+Replay prints one line per invocation or case that differs, is not
+recorded or is recorded but no longer listed, and exits 1 if there is
+any.  A change that moves output on purpose re-records with ``--record``,
+which prints what moved; nothing is re-recorded otherwise.
 
     PYTHONPATH=src python tests/golden/replay.py            # compare; exit 0 or 1
-    PYTHONPATH=src python tests/golden/replay.py --record   # rewrite cli.json
+    PYTHONPATH=src python tests/golden/replay.py --record   # rewrite both corpora
 """
 
 import argparse
@@ -22,12 +29,16 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import sys
+from enum import Enum
 
-from logint import cli
+from logint import cli, routes
 
-CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+CORPUS = os.path.join(HERE, "cli.json")
+LIBRARY = os.path.join(HERE, "library.json")
 
 
 def _variants(*command):
@@ -69,6 +80,89 @@ INVOCATIONS = [
 ]
 
 
+def _overflow_edge(scale):
+    """The largest double n whose scale * n * n, formed left to right as the
+    routes form it, is finite: route 1 switches form past it at scale 1,
+    route 2 at scale 4."""
+    n = math.sqrt(sys.float_info.max / scale)
+    while math.isinf(scale * n * n):
+        n = math.nextafter(n, 0.0)
+    while not math.isinf(scale * math.nextafter(n, math.inf) * math.nextafter(n, math.inf)):
+        n = math.nextafter(n, math.inf)
+    return n
+
+
+def _around(n):
+    return [math.nextafter(n, 0.0), n, math.nextafter(n, math.inf)]
+
+
+_NEXT_BELOW_MAX = math.nextafter(sys.float_info.max, 0.0)
+
+LIBRARY_NS = [
+    *(1.0 + d for d in (
+        2.0**-52, 2.0**-40, 1e-15, 1e-12, 2.0**-26, 1e-7, 1e-6, 1e-4, 1e-3, 0.1,
+        0.5, 0.9, 1.5, 9.0, 99.0, 1e3, 1e6, 1e12, 1e50, 1e100, 1e150, 1e200, 1e300,
+    )),
+    *_around(2.0),
+    3.0,
+    4.0,
+    math.e,
+    *_around(_overflow_edge(1.0)),
+    *_around(_overflow_edge(4.0)),
+    math.nextafter(_NEXT_BELOW_MAX, 0.0),
+    _NEXT_BELOW_MAX,
+    sys.float_info.max,
+]
+BAD_NS = [1.0, math.nextafter(1.0, 0.0), 0.0, -3.0, math.nan, math.inf, -math.inf]
+ROUTES = (
+    routes.closed_form_trig,
+    routes.closed_form_trigamma,
+    routes.closed_form_gamma_derivative,
+    routes.intermediate_form,
+    routes.numeric_I,
+)
+
+
+def _plain(value):
+    """value as JSON data: floats as float.hex, named tuples as dicts."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Enum):
+        return value.value
+    if hasattr(value, "_asdict"):
+        return {key: _plain(v) for key, v in value._asdict().items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _outcome(call, *args, **kwargs):
+    """What call returns, as plain data, or the type and message it raises."""
+    try:
+        return _plain(call(*args, **kwargs))
+    except Exception as exc:
+        return {"raises": type(exc).__name__, "message": str(exc)}
+
+
+LIBRARY_CASES = [
+    *((f"routes at n = {n.hex()}", lambda n=n: {f.__name__: _outcome(f, n) for f in ROUTES})
+      for n in LIBRARY_NS + BAD_NS),
+    *((f"verify_lemma1({m})", lambda m=m: _outcome(routes.verify_lemma1, m)) for m in (1, 2, 3)),
+    ("verify_lemma2()", lambda: _outcome(routes.verify_lemma2)),
+    ("verify_lemma3()", lambda: _outcome(routes.verify_lemma3)),
+    ("verify_theorem()", lambda: _outcome(routes.verify_theorem)),
+    ("verify_lemma1(4)", lambda: _outcome(routes.verify_lemma1, 4)),
+    ("verify_lemma1(1, z_grid=(0.0,))", lambda: _outcome(routes.verify_lemma1, 1, z_grid=(0.0,))),
+    ("verify_lemma2(m_max=4)", lambda: _outcome(routes.verify_lemma2, m_max=4)),
+    ("verify_lemma2(z_grid=(0.01,))", lambda: _outcome(routes.verify_lemma2, z_grid=(0.01,))),
+    ("verify_lemma3(x_grid=(pi/2,))",
+     lambda: _outcome(routes.verify_lemma3, x_grid=(math.pi / 2.0,))),
+    ("verify_theorem(n_grid=())", lambda: _outcome(routes.verify_theorem, n_grid=())),
+    ("limit_probe([])", lambda: _outcome(routes.limit_probe, [])),
+    ("limit_probe([100.0, 10.0])", lambda: _outcome(routes.limit_probe, [100.0, 10.0])),
+]
+
+
 def run(argv):
     """One invocation's exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -91,37 +185,58 @@ def _first_difference(recorded, now):
     return None
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--record", action="store_true",
-                        help="rewrite the corpus from this run instead of comparing")
-    args = parser.parse_args(argv)
-    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal width
-    results = [run(invocation) for invocation in INVOCATIONS]
+def _first_change(old, new, path="result"):
+    """Where two library results first differ, walking dicts and lists."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        pairs = ((old[key], new[key], f"{path}.{key}") for key in old)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        pairs = ((a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new)))
+    else:
+        return None if old == new else f"{path}: {old!r} -> {new!r}"
+    return next(filter(None, (_first_change(*pair) for pair in pairs)), None)
+
+
+def _compare(path, results, name, difference):
+    """One line per result that differs from the corpus at path, is not
+    recorded there, or is recorded there but no longer listed."""
     try:
-        with open(CORPUS, encoding="utf-8") as f:
-            recorded = {tuple(r["argv"]): r for r in json.load(f)}
+        with open(path, encoding="utf-8") as f:
+            recorded = {name(r): r for r in json.load(f)}
     except FileNotFoundError:
         recorded = {}
     problems = []
     for now in results:
-        key = tuple(now["argv"])
-        name = " ".join(key)
+        key = name(now)
         if key not in recorded:
-            problems.append(f"{name}: not recorded")
+            problems.append(f"{key}: not recorded")
         else:
-            difference = _first_difference(recorded.pop(key), now)
-            if difference:
-                problems.append(f"{name}: {difference}")
-    problems += [f"{' '.join(key)}: recorded but no longer listed" for key in recorded]
+            moved = difference(recorded.pop(key), now)
+            if moved:
+                problems.append(f"{key}: {moved}")
+    return problems + [f"{key}: recorded but no longer listed" for key in recorded]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--record", action="store_true",
+                        help="rewrite both corpora from this run instead of comparing")
+    args = parser.parse_args(argv)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal width
+    results = [run(invocation) for invocation in INVOCATIONS]
+    library = [{"case": case, "result": call()} for case, call in LIBRARY_CASES]
+    problems = _compare(CORPUS, results, lambda r: " ".join(r["argv"]), _first_difference)
+    problems += _compare(LIBRARY, library, lambda r: r["case"],
+                         lambda old, new: _first_change(old["result"], new["result"]))
+    counts = f"{len(results)} invocations and {len(library)} library cases"
     if args.record:
-        with open(CORPUS, "w", encoding="utf-8") as f:
-            json.dump(results, f, indent=1, ensure_ascii=False)
-            f.write("\n")
-        print(f"recorded {len(results)} invocations; moved since the last recording:")
+        for path, records in ((CORPUS, results), (LIBRARY, library)):
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(records, f, indent=1, ensure_ascii=False)
+                f.write("\n")
+        print(f"recorded {counts}; moved since the last recording:")
         print("\n".join(problems) or "none")
         return 0
-    print("\n".join(problems) or f"{len(results)} invocations identical")
+    print("\n".join(problems) or f"{counts} identical")
     return 1 if problems else 0
 
 

@@ -22,7 +22,8 @@ LARGEST_DOUBLES = (1.7976931348623153e308, 1.7976931348623155e308, sys.float_inf
 
 # ---------------------------------------------------------------- exponent
 
-BAD_EXPONENTS = [1.0, 0.0, -3.0, math.nan, math.inf, -math.inf]
+# 10**400 and -10**400 are ints beyond the double range: float() overflows
+BAD_EXPONENTS = [1.0, 0.0, -3.0, math.nan, math.inf, -math.inf, 10**400, -(10**400)]
 
 
 def test_exponent_accepts_and_normalizes():
@@ -854,6 +855,33 @@ def test_bilateral_outcome_counts_both_halves():
     folded = quadrature.integrate_semi_infinite(lambda t: f(t) + f(-t), 0.0)
     assert type(outcome) is quadrature.QuadratureOutcome
     assert outcome == folded._replace(evaluations=2 * folded.evaluations)
+
+
+# ------------------------------------------------------------ exact counts
+# Evaluation and row counts depend only on the code, not on the machine, so
+# they are pinned exactly.  A change that moves one re-pins it here and says
+# why.
+
+
+def test_numeric_evaluations_summed_over_seeded_n():
+    rng = random.Random(0)
+    ns = [1.0 + 10.0 ** rng.uniform(-12.0, 12.0) for _ in range(1000)]
+    assert sum(rt.numeric_I(n).evaluations for n in ns) == 94053
+
+
+def test_default_lemma1_grid_evaluations():
+    total = sum(
+        quadrature.integrate_semi_infinite(verify._lemma1_scaled(m, z), 0.0).evaluations
+        for m in (1, 2, 3)
+        for z in verify.DEFAULT_LEMMA1_GRID
+    )
+    assert total == 1334
+
+
+def test_cached_levels_hold_219_rows():
+    levels = range(quadrature._LAST_CACHED_LEVEL + 1)
+    assert levels == range(6)
+    assert sum(len(quadrature._exp_sinh_level(level)[0]) for level in levels) == 219
 
 
 # ------------------------------------------------------------- limit probe

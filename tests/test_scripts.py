@@ -1,5 +1,5 @@
-"""The scripts in scripts/ run end to end and print their header, and the CLI
-golden corpus in tests/golden/ replays byte for byte."""
+"""The scripts in scripts/ run end to end and print their header, and the
+golden corpora in tests/golden/ replay byte for byte and bit for bit."""
 
 import importlib.util
 import json
