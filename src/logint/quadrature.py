@@ -13,36 +13,35 @@ quadrature route ``numeric_I`` and the lemma1 verifier call
 ``integrate_semi_infinite`` itself; nothing in the package calls the other
 two entry points.
 
-Refinement halves the trapezoid step once per level.  The nodes of a level
-do not depend on the integrand, so the engine keeps one list of row tuples
-per level, and with it where each side's range ends over a lower limit of
-0: the row where the far weight stops being finite and the row where the
-near weight reaches 0.  Both are found while the level is built.  A pass
-walks the rows where both sides are in range with no range tests, then
-the side still going alone.  A lower limit a != 0 walks the same rows and
-shifts the integrand to x -> f(a + x); its near side ends sooner, at the
-first row where a + x rounds onto a.  Levels 0 to _LAST_CACHED_LEVEL = 5
-are built on first use and cached (about 40 kB): every route integral
-(numeric_I, the lemma1 integrals) converges by level 5 at any tol from
-1e-6 to 1e-15.  A finer level is built again on each pass that asks for
-it, a cost only calls that walk past level 5 pay.  Nodes are visited in a
-fixed center-outward order, abscissas are formed as offsets from the
-nearest endpoint (so no precision is lost next to a singularity), partial
-sums use compensated (Kahan) accumulation in that same order, and the
-error estimate extrapolates from the last three level-to-level
+Refinement halves the trapezoid step once per level:
+``integrate_semi_infinite`` runs the level loop, and ``_pass`` walks one
+level's nodes and returns their weighted sum and its integrand calls.  The
+nodes of a level do not depend on the integrand, so the engine keeps one
+list of row tuples per level, and with it where each side's range ends over
+a lower limit of 0: the row where the far weight stops being finite and the
+row where the near weight reaches 0.  Both are found while the level is
+built.  A pass walks the rows where both sides are in range with no range
+tests, then the side still going alone.  A lower limit a != 0 walks the
+same rows and shifts the integrand to x -> f(a + x); its near side ends
+sooner, at the first row where a + x rounds onto a.  Levels 0 to
+_LAST_CACHED_LEVEL = 5 are built on first use and cached (about 40 kB):
+every route integral (numeric_I, the lemma1 integrals) converges by level 5
+at any tol from 1e-6 to 1e-15.  A finer level is built again on each pass
+that asks for it, a cost only calls that walk past level 5 pay.  Nodes are
+visited in a fixed center-outward order, abscissas are formed as offsets
+from the nearest endpoint (so no precision is lost next to a singularity),
+partial sums use compensated (Kahan) accumulation in that same order, and
+the error estimate extrapolates from the last three level-to-level
 differences, floored at machine precision of max(1, |value|).  Identical
-inputs therefore produce bit-identical outcomes, whether or not a level
-was cached.  A non-finite value or error estimate is never reported as
+inputs therefore produce bit-identical outcomes, whether or not a level was
+cached.  A non-finite value or error estimate is never reported as
 converged.
 
-Each side of a level's node ladder ends on its own, once two consecutive
-contributions fall to eps times the pass's running sum of |contribution|,
-a bound that halves per level from level _MIN_LEVEL on (or once the far
-abscissa overflows, or the near one rounds onto the lower limit).  The
-limit: mass behind a gap of two nodes that are negligible on that scale
-is missed.  For ``integrate_finite`` the sides run from the midpoint to a
-and to b, so the mass of a piecewise integrand behind a zero plateau next
-to the midpoint can be missed.
+Each side of a level's node ladder ends on its own, by ``_pass``'s stop
+rule, or once the far abscissa overflows or the near one rounds onto the
+lower limit.  For ``integrate_finite`` the sides run from the midpoint to
+a and to b, so the mass of a piecewise integrand behind a zero plateau
+next to the midpoint can be missed.
 
 The one setting is ``tol``: a call converges once its error estimate is
 at most tol * max(1, |value|), from level _MIN_LEVEL on.  Refinement stops
@@ -138,57 +137,93 @@ def _exp_sinh_level(level: int) -> _Level:
     return table if level > _LAST_CACHED_LEVEL else _EXP_SINH.setdefault(level, table)
 
 
+def _finite(x: float) -> bool:
+    """math.isfinite, but False for an int beyond the double range, not OverflowError."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
+    if not (_finite(tol) and tol > 0.0):
         raise ValueError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
 
 
-def _refine(
-    center: float,
-    pair_sum: Callable[[int, int], tuple[float, int]],
-    tol: float,
-) -> QuadratureOutcome:
-    """The level-doubling loop: halve h, reuse the previous sum.
+def _pass(g: Callable[[float], float], a: float, level: int) -> tuple[float, int]:
+    """One level's weighted sum of g over its nodes, and the calls of g made.
 
-    ``pair_sum(level, used)`` walks one level's nodes and returns their
-    weighted sum and the evaluation count so far.  The loop stops, not
-    converged, on a non-finite value or error estimate, or after level
-    _MAX_LEVEL.  It claims convergence only from level _MIN_LEVEL on, once
-    three level differences exist: one difference alone can be far too
-    small at a coarse level.
-
-    The error estimate extrapolates from the last three level-to-level
-    differences d_-1, d_0, d_1 (after Borwein, Bailey and Girgensohn):
-    once they shrink, it is d_1 * min(1, 10 * max(d_1/d_0, (d_0/d_-1)^2)),
-    otherwise d_1 itself.  A DE rule at best squares its convergence ratio
-    per level, so a drop faster than (d_0/d_-1)^2 is a lucky cancellation
-    and is not trusted.  No estimate is claimed below roundoff on the stop
-    rule's own scale, eps * max(1, |value|): an integrand that cancels
-    carries noise of order eps times its terms, not eps times its sum.
+    g is the integrand as a function of the offset x from the lower limit a.
+    Within a level each side walks outward until two consecutive
+    contributions are at most eps times the running sum of |contribution|
+    over the pass, both sides counted: below that they cannot change the
+    rounded sum.  From level _MIN_LEVEL on that bound halves per level, so
+    the tail a cut drops does not grow as the nodes get denser.  A single
+    such contribution, an exact zero of g say, does not end a side.  The
+    limit: mass behind a gap of two nodes that are negligible on that scale
+    is missed.
     """
-    partial, used = pair_sum(0, 1)  # the center was evaluation 1
-    value = center + partial
-    err = math.inf
-    before = last = math.nan  # d_-1 and d_0; nan until two differences exist
-    h = 1.0
-    for level in range(1, _MAX_LEVEL + 1):
-        h *= 0.5
-        partial, used = pair_sum(level, used)
-        refined = 0.5 * value + h * partial
-        diff = abs(refined - value)
-        err = diff
-        if 0.0 < last < before < math.inf:
-            err = diff * min(1.0, 10.0 * max(diff / last, (last / before) ** 2))
-        before, last = last, diff
-        value = refined
-        scale = max(1.0, abs(value))
-        if err < _EPS * scale:
-            err = _EPS * scale
-        if not (math.isfinite(value) and math.isfinite(err)):
-            return QuadratureOutcome(value, err, used, False)
-        if err <= tol * scale and level >= _MIN_LEVEL:
-            return QuadratureOutcome(value, err, used, True)
-    return QuadratureOutcome(value, err, used, False)
+    rows, both, far_end, near_end = _exp_sinh_level(level)
+    if a != 0.0:  # a + decay falls with the row, so bisect finds its end
+        near_end = bisect_left(rows, True, hi=near_end, key=lambda row: a + row[3] <= a)
+        both = both[:near_end]
+    total = 0.0
+    comp = 0.0  # Kahan compensation; addition order is part of the contract
+    l1 = 0.0  # sum of |contribution| over the pass, both sides
+    # The tail past a cut holds twice as many terms per level; halving
+    # the bound from _MIN_LEVEL on keeps the mass it drops from growing.
+    cut = _EPS * 0.5 ** (level - _MIN_LEVEL) if level > _MIN_LEVEL else _EPS
+    far_tiny = 0  # t > 0, x runs to infinity
+    near_tiny = 0  # t < 0, x slides down to a
+    # Both sides, until one of them goes quiet or runs out of range.
+    walk = iter(both)
+    for far_w, far_x, near_w, near_x in walk:
+        c = far_w * g(far_x)
+        size = abs(c)
+        l1 += size
+        if size <= cut * l1:
+            far_tiny += 1
+        else:
+            far_tiny = 0
+        d = near_w * g(near_x)
+        size = abs(d)
+        l1 += size
+        if size <= cut * l1:
+            near_tiny += 1
+        else:
+            near_tiny = 0
+        if far_tiny >= 2 and near_tiny >= 2:
+            break  # both stop on this row, and it is dropped
+        term = (c + d) - comp
+        fresh = total + term
+        comp = (fresh - total) - term
+        total = fresh
+        if far_tiny >= 2 or near_tiny >= 2:
+            break
+    start = len(both) - length_hint(walk)  # rows walked, the last included
+    # Then the side still going, alone, up to its own range end.
+    if far_tiny < 2 and far_end > start:
+        side, end, tiny = 0, far_end, far_tiny
+    elif near_tiny < 2 and near_end > start:
+        side, end, tiny = 2, near_end, near_tiny
+    else:
+        return total, 2 * start
+    walk = iter(rows[start:end])
+    for row in walk:
+        c = row[side] * g(row[side + 1])
+        size = abs(c)
+        l1 += size
+        if size <= cut * l1:
+            tiny += 1
+            if tiny >= 2:
+                break  # the last side stops: its row is dropped
+        else:
+            tiny = 0
+        term = c - comp
+        fresh = total + term
+        comp = (fresh - total) - term
+        total = fresh
+    return total, start + end - length_hint(walk)
 
 
 def integrate_semi_infinite(
@@ -211,87 +246,51 @@ def integrate_semi_infinite(
     is missed, and the error estimate does not see it: 2 sqrt(ulp(a)/2),
     about 3e-8 at a = 2.5, for 1/sqrt(x - a).
 
-    Within a level each side walks outward until two consecutive
-    contributions are at most eps times the running sum of |contribution|
-    over the level's pass, both sides counted: below that they cannot
-    change the rounded sum.  From level _MIN_LEVEL on that bound halves
-    per level, so the tail a cut drops does not grow as the nodes get
-    denser.  A single such contribution, an exact zero of f say, does not
-    end a side.  The limit: mass behind a gap of two nodes that are
-    negligible on that scale is missed.
+    Each level halves h and reuses the previous sum.  The loop stops, not
+    converged, on a non-finite value or error estimate, or after level
+    _MAX_LEVEL.  It claims convergence only from level _MIN_LEVEL on, once
+    three level differences exist: one difference alone can be far too
+    small at a coarse level.
+
+    The error estimate extrapolates from the last three level-to-level
+    differences d_-1, d_0, d_1 (after Borwein, Bailey and Girgensohn):
+    once they shrink, it is d_1 * min(1, 10 * max(d_1/d_0, (d_0/d_-1)^2)),
+    otherwise d_1 itself.  A DE rule at best squares its convergence ratio
+    per level, so a drop faster than (d_0/d_-1)^2 is a lucky cancellation
+    and is not trusted.  No estimate is claimed below roundoff on the stop
+    rule's own scale, eps * max(1, |value|): an integrand that cancels
+    carries noise of order eps times its terms, not eps times its sum.
     """
     _check_tol(tol)
-    center = a + 1.0
+    center = a + 1.0 if _finite(a) else math.inf
     if not a < center < math.inf:  # a + 1 rounding onto a would sample a
         raise ValueError(f"lower limit must be finite with a + 1 > a, got {a!r}")
 
     g = f if a == 0.0 else lambda x: f(a + x)
-
-    def pair_sum(level: int, used: int) -> tuple[float, int]:
-        rows, both, far_end, near_end = _exp_sinh_level(level)
-        if a != 0.0:  # a + decay falls with the row, so bisect finds its end
-            near_end = bisect_left(rows, True, hi=near_end, key=lambda row: a + row[3] <= a)
-            both = both[:near_end]
-        total = 0.0
-        comp = 0.0  # Kahan compensation; addition order is part of the contract
-        l1 = 0.0  # sum of |contribution| over the pass, both sides
-        # The tail past a cut holds twice as many terms per level; halving
-        # the bound from _MIN_LEVEL on keeps the mass it drops from growing.
-        cut = _EPS * 0.5 ** (level - _MIN_LEVEL) if level > _MIN_LEVEL else _EPS
-        far_tiny = 0  # t > 0, x runs to infinity
-        near_tiny = 0  # t < 0, x slides down to a
-        # Both sides, until one of them goes quiet or runs out of range.
-        walk = iter(both)
-        for far_w, far_x, near_w, near_x in walk:
-            c = far_w * g(far_x)
-            size = abs(c)
-            l1 += size
-            if size <= cut * l1:
-                far_tiny += 1
-            else:
-                far_tiny = 0
-            d = near_w * g(near_x)
-            size = abs(d)
-            l1 += size
-            if size <= cut * l1:
-                near_tiny += 1
-            else:
-                near_tiny = 0
-            if far_tiny >= 2 and near_tiny >= 2:
-                break  # both stop on this row, and it is dropped
-            term = (c + d) - comp
-            fresh = total + term
-            comp = (fresh - total) - term
-            total = fresh
-            if far_tiny >= 2 or near_tiny >= 2:
-                break
-        start = len(both) - length_hint(walk)  # rows walked, the last included
-        used += 2 * start
-        # Then the side still going, alone, up to its own range end.
-        if far_tiny < 2 and far_end > start:
-            side, end, tiny = 0, far_end, far_tiny
-        elif near_tiny < 2 and near_end > start:
-            side, end, tiny = 2, near_end, near_tiny
-        else:
-            return total, used
-        walk = iter(rows[start:end])
-        for row in walk:
-            c = row[side] * g(row[side + 1])
-            size = abs(c)
-            l1 += size
-            if size <= cut * l1:
-                tiny += 1
-                if tiny >= 2:
-                    break  # the last side stops: its row is dropped
-            else:
-                tiny = 0
-            term = c - comp
-            fresh = total + term
-            comp = (fresh - total) - term
-            total = fresh
-        return total, used + (end - start) - length_hint(walk)
-
-    return _refine(_HALF_PI * f(center), pair_sum, tol)
+    value = _HALF_PI * f(center)  # evaluation 1, before level 0's pass
+    partial, used = _pass(g, a, 0)
+    value, used = value + partial, used + 1
+    err = math.inf
+    before = last = math.nan  # d_-1 and d_0; nan until two differences exist
+    h = 1.0
+    for level in range(1, _MAX_LEVEL + 1):
+        h *= 0.5
+        partial, calls = _pass(g, a, level)
+        used += calls
+        refined = 0.5 * value + h * partial
+        diff = abs(refined - value)
+        err = diff
+        if 0.0 < last < before < math.inf:
+            err = diff * min(1.0, 10.0 * max(diff / last, (last / before) ** 2))
+        before, last = last, diff
+        value = refined
+        scale = max(1.0, abs(value))
+        err = max(err, _EPS * scale)
+        if not (math.isfinite(value) and math.isfinite(err)):
+            return QuadratureOutcome(value, err, used, False)
+        if err <= tol * scale and level >= _MIN_LEVEL:
+            return QuadratureOutcome(value, err, used, True)
+    return QuadratureOutcome(value, err, used, False)
 
 
 def integrate_bilateral(
@@ -335,8 +334,8 @@ def integrate_finite(
     midpoint.
     """
     _check_tol(tol)
-    span = b - a
-    if not (a < b and math.isfinite(span)):
+    span = b - a if _finite(a) and _finite(b) else math.nan
+    if not (a < b and _finite(span)):
         raise ValueError(f"need finite a < b with finite b - a, got a={a!r}, b={b!r}")
     skipped = 0
 

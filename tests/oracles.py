@@ -1,6 +1,6 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here but ``lemma1_folded`` and ``reference_semi_infinite``
+Everything here but ``lemma1_folded`` and ``reference_pass``
 deliberately avoids the algorithms used inside the package: brute partial
 sums with a midpoint tail integral, finite differences, stdlib math, and
 mpmath at 50 digits.  Oracle accuracy is noted next to each helper so
@@ -10,9 +10,10 @@ tests can budget their tolerances.
 zero in t-space, a link between the bilateral engine and the rescaled fold
 that ``verify_lemma1`` integrates.  It shares the package's argument checks
 and is itself measured against mpmath in the tests.
-``reference_semi_infinite`` is the other: the exp-sinh engine's earlier
-one-loop pass, which the engine must match bit for bit.  It shares the
-package's node rows and level loop; only the pass is its own.
+``reference_pass`` is the other: the exp-sinh engine's earlier one-loop
+pass, which the engine's ``_pass`` must match bit for bit.  It reads the
+package's node rows, and tests run it inside the package's level loop by
+putting it in place of ``quadrature._pass``; only the pass is its own.
 """
 
 import math
@@ -99,65 +100,63 @@ def lemma1_folded(m: int, z: float) -> Callable[[float], float]:
     return folded
 
 
-def reference_semi_infinite(f: Callable[[float], float], a: float, tol: float = 1e-10):
-    """``integrate_semi_infinite`` as one loop that range-tests every node.
+def reference_pass(g: Callable[[float], float], a: float, level: int) -> tuple[float, int]:
+    """``quadrature._pass`` as one loop that range-tests every node.
 
     The exp-sinh pass as it was before the node table recorded each
     level's range ends: every row tests both sides for range and for life.
-    Kept verbatim as the bit-identity reference for the engine's pass.
+    g takes the offset from a, as the engine's pass does.  Kept verbatim
+    as the bit-identity reference for the engine's pass.
     """
-
-    def pair_sum(level: int, used: int) -> tuple[float, int]:
-        total = 0.0
-        comp = 0.0  # Kahan compensation; addition order is part of the contract
-        near_alive = True  # t < 0, x slides down to a
-        far_alive = True  # t > 0, x runs to infinity
-        l1 = 0.0  # sum of |contribution| over the pass, both sides
-        # The tail past a cut holds twice as many terms per level; halving
-        # the bound from _MIN_LEVEL on keeps the mass it drops from growing.
-        cut = quadrature._EPS * 0.5 ** max(0, level - quadrature._MIN_LEVEL)
-        near_tiny = 0
-        far_tiny = 0
-        for far_w, grow, near_w, decay in quadrature._exp_sinh_level(level)[0]:
-            contribution = 0.0
-            if far_alive:
-                x = a + grow
-                if not (math.isfinite(far_w) and math.isfinite(x)):
-                    far_alive = False  # beyond representable range
+    used = 0
+    total = 0.0
+    comp = 0.0  # Kahan compensation; addition order is part of the contract
+    near_alive = True  # t < 0, x slides down to a
+    far_alive = True  # t > 0, x runs to infinity
+    l1 = 0.0  # sum of |contribution| over the pass, both sides
+    # The tail past a cut holds twice as many terms per level; halving
+    # the bound from _MIN_LEVEL on keeps the mass it drops from growing.
+    cut = quadrature._EPS * 0.5 ** max(0, level - quadrature._MIN_LEVEL)
+    near_tiny = 0
+    far_tiny = 0
+    for far_w, grow, near_w, decay in quadrature._exp_sinh_level(level)[0]:
+        contribution = 0.0
+        if far_alive:
+            x = a + grow
+            if not (math.isfinite(far_w) and math.isfinite(x)):
+                far_alive = False  # beyond representable range
+            else:
+                used += 1
+                c = far_w * g(grow)
+                size = abs(c)
+                l1 += size
+                if size <= cut * l1:
+                    far_tiny += 1
+                    if far_tiny >= 2:
+                        far_alive = False
                 else:
-                    used += 1
-                    c = far_w * f(x)
-                    size = abs(c)
-                    l1 += size
-                    if size <= cut * l1:
-                        far_tiny += 1
-                        if far_tiny >= 2:
-                            far_alive = False
-                    else:
-                        far_tiny = 0
-                    contribution += c
-            if near_alive:
-                x = a + decay
-                if x <= a or near_w == 0.0:
-                    near_alive = False  # node rounded onto the endpoint
+                    far_tiny = 0
+                contribution += c
+        if near_alive:
+            x = a + decay
+            if x <= a or near_w == 0.0:
+                near_alive = False  # node rounded onto the endpoint
+            else:
+                used += 1
+                c = near_w * g(decay)
+                size = abs(c)
+                l1 += size
+                if size <= cut * l1:
+                    near_tiny += 1
+                    if near_tiny >= 2:
+                        near_alive = False
                 else:
-                    used += 1
-                    c = near_w * f(x)
-                    size = abs(c)
-                    l1 += size
-                    if size <= cut * l1:
-                        near_tiny += 1
-                        if near_tiny >= 2:
-                            near_alive = False
-                    else:
-                        near_tiny = 0
-                    contribution += c
-            if not (near_alive or far_alive):
-                break
-            term = contribution - comp
-            fresh = total + term
-            comp = (fresh - total) - term
-            total = fresh
-        return total, used
-
-    return quadrature._refine(quadrature._HALF_PI * f(a + 1.0), pair_sum, tol)
+                    near_tiny = 0
+                contribution += c
+        if not (near_alive or far_alive):
+            break
+        term = contribution - comp
+        fresh = total + term
+        comp = (fresh - total) - term
+        total = fresh
+    return total, used

@@ -166,6 +166,17 @@ def test_table_bad_ranges(capsys):
     assert run_cli(["table", "--min", "2", "--max", "4", "--steps", "1"], capsys)[0] == cli.EXIT_USAGE
 
 
+def test_table_steps_one_above_the_bound_is_refused_before_any_row(capsys, monkeypatch):
+    def evaluated(*args):
+        raise AssertionError("a row was evaluated")
+
+    monkeypatch.setattr(routes, "evaluate_all_routes", evaluated)
+    steps = str(cli._MAX_TABLE_STEPS + 1)
+    code, out, err = run_cli(["table", "--min", "1.5", "--max", "4", "--steps", steps], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: --steps: at most 1000000 rows") and out == ""
+
+
 @pytest.mark.parametrize("spacing", ["linear", "log"])
 @pytest.mark.parametrize(
     "bounds, flag",
@@ -221,6 +232,9 @@ def test_limit_exit_codes(capsys):
     assert run_cli(["limit", "--n-list", "100,10"], capsys)[0] == cli.EXIT_USAGE
     assert run_cli(["limit", "--n-list", "0.5,2"], capsys)[0] == cli.EXIT_USAGE
     assert run_cli(["limit", "--n-list", "abc"], capsys)[0] == cli.EXIT_USAGE
+    code, out, err = run_cli(["limit", "--n-list", ","], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "n list is empty" in err and out == ""
 
 
 def test_eval_past_n_squared_overflow(capsys):

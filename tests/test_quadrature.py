@@ -16,7 +16,7 @@ from logint import quadrature, routes, verify
 from logint.quadrature import integrate_bilateral, integrate_finite, integrate_semi_infinite
 from logint.routes import lemma1_integrand, numeric_I
 
-from oracles import reference_semi_infinite, zeta_partial
+from oracles import reference_pass, zeta_partial
 
 
 def guarded_half_exponential(t):
@@ -184,12 +184,18 @@ def test_invalid_intervals_rejected():
     calls = []
     with pytest.raises(ValueError):
         integrate_finite(calls.append, -1e308, 1e308)  # b - a overflows
+    # ints beyond the double range, refused as not finite, not OverflowError
+    with pytest.raises(ValueError, match="need finite a < b"):
+        integrate_finite(calls.append, 0.0, 10**400)
+    with pytest.raises(ValueError, match="need finite a < b"):
+        integrate_finite(calls.append, -(10**400), 0.0)
     assert calls == []
 
 
 # Over |a| >= 2^53, a + 1 rounds onto a, so the center node would be a
-# itself: the call must refuse before f is ever called.
-@pytest.mark.parametrize("a", [1e17, -1e17, 2.0**53, 1e16, 1e300])
+# itself: the call must refuse before f is ever called.  10**400 and
+# -10**400 are ints beyond the double range, where a + 1 overflows.
+@pytest.mark.parametrize("a", [1e17, -1e17, 2.0**53, 1e16, 1e300, 10**400, -(10**400)])
 def test_lower_limit_that_a_plus_one_rounds_onto_is_rejected(a):
     calls = []
 
@@ -213,7 +219,8 @@ TOL_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+# 10**400 and -10**400 are ints beyond the double range
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, 10**400, -(10**400)])
 @pytest.mark.parametrize("taker", sorted(TOL_TAKERS))
 def test_tol_validation(taker, tol, monkeypatch):
     calls = []
@@ -481,13 +488,13 @@ PASS_CASES = {
 # return the same bits as the one loop that range-tests every node.
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-16])
 @pytest.mark.parametrize("name", sorted(PASS_CASES))
-def test_pass_matches_the_one_loop_reference(name, tol):
+def test_pass_matches_the_one_loop_reference(name, tol, monkeypatch):
     f, a = PASS_CASES[name]
     g, seen = _recorded(f)
     ref_g, ref_seen = _recorded(f)
-    assert _bits(integrate_semi_infinite(g, a, tol)) == _bits(
-        reference_semi_infinite(ref_g, a, tol)
-    )
+    engine = integrate_semi_infinite(g, a, tol)
+    monkeypatch.setattr(quadrature, "_pass", reference_pass)
+    assert _bits(engine) == _bits(integrate_semi_infinite(ref_g, a, tol))
     assert seen == ref_seen
 
 
@@ -495,7 +502,7 @@ def test_pass_matches_the_one_loop_reference(name, tol):
 def test_route4_matches_the_one_loop_reference(tol, monkeypatch):
     ns = (1.0 + 1e-15, 1.001, 1.5, 2.0, 3.0, 100.0, 1e300)
     engine = [numeric_I(n, tol) for n in ns]
-    monkeypatch.setattr(routes, "integrate_semi_infinite", reference_semi_infinite)
+    monkeypatch.setattr(quadrature, "_pass", reference_pass)
     assert [_bits(o) for o in engine] == [_bits(numeric_I(n, tol)) for n in ns]
 
 
@@ -512,7 +519,7 @@ ENTRY_RUNS = {
 @pytest.mark.parametrize("name", sorted(ENTRY_RUNS))
 def test_entry_points_match_the_one_loop_reference(name, tol, monkeypatch):
     engine = ENTRY_RUNS[name](tol)
-    monkeypatch.setattr(quadrature, "integrate_semi_infinite", reference_semi_infinite)
+    monkeypatch.setattr(quadrature, "_pass", reference_pass)
     assert _bits(engine) == _bits(ENTRY_RUNS[name](tol))
 
 

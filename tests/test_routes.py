@@ -824,6 +824,15 @@ def test_report_invariants_enforced():
             passed=True,  # inconsistent with deviation > tolerance
             worst_point=(0.1,),
         )
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        rt.VerificationReport(
+            subject=rt.Subject.LEMMA3,
+            grid=((0.1,),),
+            max_abs_deviation=0.0,
+            tolerance=0.0,
+            passed=True,
+            worst_point=(0.1,),
+        )
 
 
 RECORDS = {
