@@ -108,7 +108,14 @@ def _check_order(m: int, low: int) -> None:
 
 
 def lgamma(x: float) -> float:
-    """ln Gamma(x) for finite x > 0."""
+    """ln Gamma(x) for finite x > 0.
+
+    Past x ~ 2.5600e305, where ln Gamma(x) passes the largest double,
+    OverflowError is raised, as math.lgamma does.  From x ~ 2.5563e305 the
+    product (x - 1/2) ln x overflows first; there the head of the series
+    is taken as x (ln x - 1) - (ln x)/2, which does not, and every value
+    below that band keeps the product form.
+    """
     _require_positive(x, "lgamma")
     if 0.5 <= x < 2.5:
         # around the zeros at 1 and 2 the shifted sum below cancels terms
@@ -138,7 +145,14 @@ def lgamma(x: float) -> float:
     for c in _LGAMMA_SERIES:
         series = series * r + c
     series /= y
-    return (y - 0.5) * math.log(y) - y + _HALF_LN_TWO_PI + series - shift
+    log_y = math.log(y)
+    head = (y - 0.5) * log_y
+    if head == math.inf:  # y = x > 2.5e305, so shift is 0
+        value = y * (log_y - 1.0) - 0.5 * log_y + _HALF_LN_TWO_PI + series
+        if value == math.inf:
+            raise OverflowError(f"lgamma({x!r}) is past the largest double")
+        return value
+    return head - y + _HALF_LN_TWO_PI + series - shift
 
 
 def gamma_reflection_defect(z: float) -> float:

@@ -11,9 +11,13 @@ Each library case below calls the routes or the verifiers directly, and
 its result, every float as ``float.hex``, is compared with the one
 recorded in ``library.json``: the closed forms, the sec/csc form and
 ``numeric_I``'s outcome at fixed n from n - 1 = 2^-52 to the largest
-double, the default verification reports, and the type and message of
-each refusal of a bad n or a bad grid.  Standard library only, so both
-corpora replay on every supported Python with nothing installed.
+double and at seeded n on both sides of 2 at three tolerances, the
+default verification reports, the lemma1 verifier and its scaled
+integrand's exp-sinh outcome at z where the even-order bracket is a
+signed zero or the scale overflows, lemma2 and lemma3 on seeded grids,
+and the type and message of each refusal of a bad n or a bad grid.
+Standard library only, so both corpora replay on every supported Python
+with nothing installed.
 
 Replay prints one line per invocation or case that differs, is not
 recorded or is recorded but no longer listed, and exits 1 if there is
@@ -31,10 +35,11 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 from enum import Enum
 
-from logint import cli, routes
+from logint import cli, quadrature, routes, verify
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "cli.json")
@@ -114,6 +119,26 @@ LIBRARY_NS = [
     sys.float_info.max,
 ]
 BAD_NS = [1.0, math.nextafter(1.0, 0.0), 0.0, -3.0, math.nan, math.inf, -math.inf]
+# n - 1 = 2^U(-52, 0) and 2^U(0, 8), and n = 2 and its neighbours: route
+# 4's scaled closure below 2 and its unscaled one from 2 on
+_NUMERIC_RNG = random.Random(2019)
+NUMERIC_NS = [
+    *(1.0 + 2.0 ** _NUMERIC_RNG.uniform(-52.0, 0.0) for _ in range(4)),
+    *(1.0 + 2.0 ** _NUMERIC_RNG.uniform(0.0, 8.0) for _ in range(4)),
+    *_around(2.0),
+]
+# z = 1/2 and its neighbours, where the even-order bracket is a signed zero
+# or nearly so, and the two edges, where the scale c^m overflows
+_HALF_UP, _HALF_DOWN = math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0)
+LEMMA1_ZS = [_HALF_DOWN, _HALF_UP, 0.5 - 1e-12, 0.5 + 1e-12, 1e-300, 1.0 - 1e-16]
+_GRID_RNG = random.Random(1974)
+LEMMA2_GRIDS = [tuple(_GRID_RNG.uniform(0.06, 0.94) for _ in range(7)) for _ in range(3)]
+# x on both sides of the poles at multiples of pi/2, none within 0.01 of one
+LEMMA3_GRIDS = [
+    tuple(x for x in (_GRID_RNG.uniform(-3.0, 3.0) for _ in range(40))
+          if abs(math.sin(2.0 * x)) > 0.02)
+    for _ in range(3)
+]
 ROUTES = (
     routes.closed_form_trig,
     routes.closed_form_trigamma,
@@ -148,6 +173,22 @@ LIBRARY_CASES = [
     *((f"routes at n = {n.hex()}", lambda n=n: {f.__name__: _outcome(f, n) for f in ROUTES})
       for n in LIBRARY_NS + BAD_NS),
     *((f"verify_lemma1({m})", lambda m=m: _outcome(routes.verify_lemma1, m)) for m in (1, 2, 3)),
+    *((f"numeric_I({n.hex()}, {tol!r})", lambda n=n, tol=tol: _outcome(routes.numeric_I, n, tol))
+      for n in NUMERIC_NS for tol in (1e-6, 1e-10, 1e-13)),
+    *((f"verify_lemma1({m}, z_grid=({z.hex()},))",
+       lambda m=m, z=z: _outcome(routes.verify_lemma1, m, z_grid=(z,)))
+      for m in (1, 2, 3) for z in LEMMA1_ZS),
+    *((f"exp-sinh of _lemma1_scaled({m}, {z.hex()})",
+       lambda m=m, z=z: _outcome(
+           quadrature.integrate_semi_infinite, verify._lemma1_scaled(m, z), 0.0))
+      for m in (1, 2, 3) for z in LEMMA1_ZS),
+    *((f"verify_lemma2(z_grid=seeded grid {i})",
+       lambda grid=grid: _outcome(routes.verify_lemma2, z_grid=grid))
+      for i, grid in enumerate(LEMMA2_GRIDS)),
+    *((f"verify_lemma3(x_grid=seeded grid {i})",
+       lambda grid=grid: _outcome(routes.verify_lemma3, x_grid=grid))
+      for i, grid in enumerate(LEMMA3_GRIDS)),
+    ("verify_lemma3(x_grid=(nan,))", lambda: _outcome(routes.verify_lemma3, x_grid=(math.nan,))),
     ("verify_lemma2()", lambda: _outcome(routes.verify_lemma2)),
     ("verify_lemma3()", lambda: _outcome(routes.verify_lemma3)),
     ("verify_theorem()", lambda: _outcome(routes.verify_theorem)),

@@ -1,9 +1,9 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here but ``lemma1_folded`` and ``reference_pass``
-deliberately avoids the algorithms used inside the package: brute partial
-sums with a midpoint tail integral, finite differences, stdlib math, and
-mpmath at 50 digits.  Oracle accuracy is noted next to each helper so
+Everything here but ``lemma1_folded``, ``reference_pass`` and
+``route4_integrand`` deliberately avoids the algorithms used inside the
+package: brute partial sums with a midpoint tail integral, finite
+differences, stdlib math, and mpmath at 50 digits.  Oracle accuracy is noted next to each helper so
 tests can budget their tolerances.
 
 ``lemma1_folded`` is a stated exception: the lemma1 integrand folded at
@@ -14,6 +14,8 @@ and is itself measured against mpmath in the tests.
 pass, which the engine's ``_pass`` must match bit for bit.  It reads the
 package's node rows, and tests run it inside the package's level loop by
 putting it in place of ``quadrature._pass``; only the pass is its own.
+``route4_integrand`` is the third: ``routes.numeric_I``'s integrand as one
+closure for every n, whose outcome the route's must match bit for bit.
 """
 
 import math
@@ -160,3 +162,26 @@ def reference_pass(g: Callable[[float], float], a: float, level: int) -> tuple[f
         comp = (fresh - total) - term
         total = fresh
     return total, used
+
+
+def route4_integrand(n: float) -> Callable[[float], float]:
+    """``routes.numeric_I``'s integrand as one closure for every n > 1.
+
+    It negates rate and multiplies by the factor, 1.0 for n >= 2, on every
+    call, where the route forms -rate once and leaves the 1.0 out.  Kept
+    as the bit-identity reference for the route's two closures.
+    """
+    v = float(n)
+    if v < 2.0:
+        scale = 1.0 / (v - 1.0)
+        factor = -scale * scale
+    else:
+        scale = factor = 1.0
+    rate = abs(v - 2.0) * scale
+
+    def integrand(u: float) -> float:
+        e = math.exp(-u)
+        d = math.expm1(-rate * u)
+        return u * e * d / (1.0 + e * e * (1.0 + d)) * factor
+
+    return integrand

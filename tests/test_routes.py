@@ -13,7 +13,7 @@ from logint import quadrature
 from logint import verify
 from logint.quadrature import integrate_bilateral
 
-from oracles import lemma1_folded, reference_I, zeta_partial
+from oracles import lemma1_folded, reference_I, route4_integrand, zeta_partial
 
 PI2 = math.pi * math.pi
 # 1/n is below 1/1.8e308 here, so psi(1/n) ~ -n is past the largest double
@@ -399,6 +399,45 @@ def test_numeric_evaluations_are_bounded_at_every_scale():
         assert outcome.evaluations <= 96, (n, outcome.evaluations)
 
 
+def _hexed(outcome):
+    return [x.hex() if isinstance(x, float) else x for x in outcome]
+
+
+# n - 1 = 2^U(-52, 1020), from the smallest step above 1 to near the largest
+# double, and n = 2 and its neighbours, where the route switches closure
+_ROUTE4_RNG = random.Random(1020)
+ROUTE4_NS = [1.0 + 2.0 ** _ROUTE4_RNG.uniform(-52.0, 1020.0) for _ in range(200)]
+ROUTE4_NS += [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0)]
+
+
+# numeric_I takes one closure below n = 2 and another from 2 on, with -rate
+# formed once and the factor 1.0 left out; its outcome must be that of the
+# one closure that did both on every call, every float bit for bit
+@pytest.mark.parametrize("quad_tol", [1e-6, 1e-10, 1e-13])
+def test_numeric_outcome_is_the_one_closure_outcome_bit_for_bit(quad_tol):
+    assert sum(n < 2.0 for n in ROUTE4_NS) >= 5  # both closures are reached
+    for n in ROUTE4_NS:
+        reference = quadrature.integrate_semi_infinite(route4_integrand(n), 0.0, quad_tol)
+        assert _hexed(rt.numeric_I(n, quad_tol)) == _hexed(reference), n
+
+
+# The same closures node by node, where a signed zero shows: at n = 2 every
+# value is -0.0, which no outcome tells from +0.0
+def test_numeric_integrand_is_the_one_closure_bit_for_bit_on_the_cached_nodes(monkeypatch):
+    closures = []
+    monkeypatch.setattr(rt, "integrate_semi_infinite", lambda g, a, tol: closures.append(g))
+    nodes = []
+    for level in range(quadrature._LAST_CACHED_LEVEL + 1):
+        rows, _, far_end, near_end = quadrature._exp_sinh_level(level)
+        nodes += [row[1] for row in rows[:far_end]] + [row[3] for row in rows[:near_end]]
+    for n in ROUTE4_NS:
+        rt.numeric_I(n)
+        g, reference = closures.pop(), route4_integrand(n)
+        for u in nodes:
+            assert g(u).hex() == reference(u).hex(), (n, u)
+    assert route4_integrand(2.0)(1.0).hex() == "-0x0.0p+0"
+
+
 def test_evaluate_all_routes():
     row = rt.evaluate_all_routes(3.0)
     assert row.max_pairwise_spread < 1e-6
@@ -563,7 +602,9 @@ def test_scaled_lemma1_integrand_is_zero_far_out():
 
 
 def _lemma1_scaled_by_pow(m, z):
-    """``verify._lemma1_scaled`` as it was, with its power taken by pow."""
+    """``verify._lemma1_scaled`` as one closure for every order, with its
+    power taken by pow, the odd bracket as 2.0 + 1.0 * D and the ratio as
+    t / -expm1(-t)."""
     w = 1.0 - z
     lo = min(z, w)
     scale = 2.0 / lo
@@ -587,17 +628,33 @@ def _lemma1_scaled_by_pow(m, z):
     return scaled
 
 
+# z = 1/2 and next to it, where the even-order bracket is a signed zero or
+# nearly so, the edges, where c^m overflows, and seeded z: half of them
+# 1/2 +- 2^U(-54, -2), the rest 2^U(-1000, -2) and 1 - 2^U(-53, -2)
+_LEMMA1_RNG = random.Random(208)
+LEMMA1_BIT_ZS = [
+    math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 0.5 - 1e-12, 0.5 + 1e-12,
+    1e-300, 1.0 - 1e-16,
+    *(0.5 + _LEMMA1_RNG.choice((-1.0, 1.0)) * 2.0 ** _LEMMA1_RNG.uniform(-54.0, -2.0)
+      for _ in range(24)),
+    *(2.0 ** _LEMMA1_RNG.uniform(-1000.0, -2.0) for _ in range(13)),
+    *(1.0 - 2.0 ** _LEMMA1_RNG.uniform(-53.0, -2.0) for _ in range(13)),
+]
+
+
 # The scaled integrand multiplies by u for m = 2 and by u * u for m = 3
-# rather than calling pow; on every node of the cached levels that must be
-# the u**(m - 1) form bit for bit.  For m = 3 it is so only because u * u
-# and u**2 agree on these nodes: they differ on about 0.08% of doubles.
+# rather than calling pow, has one closure per order and takes its ratio as
+# s / expm1(s), s = -t; on every node of the cached levels that must be
+# the one-closure u**(m - 1) form bit for bit.  For m = 3 it is so only
+# because u * u and u**2 agree on these nodes: they differ on about 0.08%
+# of doubles.
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_scaled_lemma1_power_is_bit_exact_on_the_cached_nodes(m):
     nodes = []
     for level in range(quadrature._LAST_CACHED_LEVEL + 1):
         rows, _, far_end, near_end = quadrature._exp_sinh_level(level)
         nodes += [row[1] for row in rows[:far_end]] + [row[3] for row in rows[:near_end]]
-    for z in sorted(set(rt.DEFAULT_LEMMA1_GRID) | {1e-5, 0.5, 1.0 - 1e-5}):
+    for z in sorted(set(rt.DEFAULT_LEMMA1_GRID) | {1e-5, 0.5, 1.0 - 1e-5} | set(LEMMA1_BIT_ZS)):
         g = verify._lemma1_scaled(m, z)
         reference = _lemma1_scaled_by_pow(m, z)
         for u in nodes:

@@ -73,6 +73,30 @@ def test_lgamma_is_relative_near_its_zeros():
         assert abs(sf.lgamma(x) - ref) <= 1.6e-15 * abs(ref), x
 
 
+# ln Gamma(x) passes the largest double from x ~ 2.5600e305: lgamma raises
+# there, as math.lgamma does, and returns no inf
+@pytest.mark.parametrize("x", [2.56e305, 2.6e305, 1e307, 1.7e308, sys.float_info.max])
+def test_lgamma_raises_past_the_largest_double(x):
+    with pytest.raises(OverflowError):
+        math.lgamma(x)
+    with pytest.raises(OverflowError, match="past the largest double"):
+        sf.lgamma(x)
+
+
+# From x ~ 2.5563e305 the product (x - 1/2) ln x overflows, though ln Gamma(x)
+# is finite up to 2.5600e305; in that band, and at 2.55e305 below it, lgamma
+# is within 1 ulp of math.lgamma
+def test_lgamma_is_finite_where_its_head_product_overflows():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = random.Random(305)
+    band = [rng.uniform(2.5563e305, 2.5599e305) for _ in range(200)]
+    for x in [2.55e305, 2.5563e305, 2.5599e305, *band]:
+        value = sf.lgamma(x)
+        assert abs(value - math.lgamma(x)) <= 2e-16 * value, x
+        assert abs(value - mpmath.loggamma(mpmath.mpf(x))) <= 2e-16 * value, x
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf])
 def test_lgamma_domain(bad):
     with pytest.raises(sf.DomainError):
