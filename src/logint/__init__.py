@@ -8,9 +8,11 @@ the verify_* procedures.
 
 The package exports the ``__all__`` of ``specfun``, ``quadrature`` and
 ``routes``.  Importing them loads only what ``logint eval`` runs: each
-export is bound here on first access (PEP 562), so that the verifiers and
-the public special functions, which ``routes`` and ``specfun`` resolve
-lazily in turn, load only when asked for.
+export is bound here on first access (PEP 562), so that the verifiers
+(``verify``), the public special functions (``special``) and the finite and
+bilateral quadrature entry points (``quadrature_maps``), which ``routes``,
+``specfun`` and ``quadrature`` resolve lazily in turn, load only when asked
+for.
 """
 
 from . import quadrature, routes, specfun

@@ -3,10 +3,10 @@ verify the identity chain, and probe the n -> infinity limit.
 
 This module holds the command table that the parser is built from, the
 one output path ``_emit`` that every handler prints through, the helpers
-behind it and the ``eval`` and ``table`` handlers.  The
-``verify`` and ``limit`` handlers live in ``cli_checks``, which the two thin
-entries here import only when one of those commands runs, so a cold
-``logint eval`` compiles none of them.
+behind it and the ``eval`` handler.  The ``table`` grid and handler live in
+``cli_table``, the ``verify`` and ``limit`` handlers in ``cli_checks``; the
+thin entries here import each only when its command runs, so a cold
+``logint eval`` compiles neither.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (or stdout
 closed before the payload was written, as by ``| head``), 2 usage or domain
@@ -44,9 +44,6 @@ EVAL_FIELDS = (
 )
 VERIFY_FIELDS = ("subject", "max_abs_deviation", "tolerance", "pass", "worst_point")
 LIMIT_FIELDS = ("n", "value", "residual", "residual_n2")
-
-# The most rows one ``table`` builds; the whole grid is held in memory.
-_MAX_TABLE_STEPS = 1_000_000
 
 
 def _fmt17(value: float) -> str:
@@ -133,46 +130,10 @@ def _run_eval(args: argparse.Namespace) -> int:
     return EXIT_NO_CONVERGENCE if routes._route_deviation(quad, spread) > threshold else EXIT_OK
 
 
-def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
-    for flag, value in (("--min", n_min), ("--max", n_max)):
-        if not math.isfinite(value):  # an infinite span puts nan or inf in the grid
-            raise ValueError(f"{flag}: exponent must be finite, got {value!r}")
-    if not (n_min > 1.0 and n_max > n_min):
-        raise ValueError(
-            f"need 1 < min < max, got min={n_min!r}, max={n_max!r}"
-        )
-    if steps < 2:
-        raise ValueError(f"need at least 2 steps, got {steps!r}")
-    if steps > _MAX_TABLE_STEPS:
-        raise ValueError(f"--steps: at most {_MAX_TABLE_STEPS} rows, got {steps!r}")
-    if spacing == "log":
-        ratio, last = n_max / n_min, steps - 1
-        # n_min * ratio**1.0 can round past n_max, even to inf; end on n_max
-        return [n_min * ratio ** (i / last) for i in range(last)] + [n_max]
-    span, last = n_max - n_min, steps - 1
-    # where span * i overflows, scale first; elsewhere keep the pinned grid.
-    # n_min + span can round off n_max by an ulp; end on n_max
-    return [n_min + (span * i / last if math.isfinite(span * i) else span * (i / last))
-            for i in range(last)] + [n_max]
-
-
 def _run_table(args: argparse.Namespace) -> int:
-    grid = _grid(args.min, args.max, args.steps, args.spacing)
-    rows = [routes.evaluate_all_routes(n, args.quad_tol) for n in grid]
+    from . import cli_table  # only table compiles its grid and handler
 
-    def human() -> None:
-        print(f"{'n':>14s} {'I(n)':>20s} {'spread':>12s}")
-        for row in rows:
-            print(
-                f"{_fmt10(row.n):>14s} {_fmt10(row.trig_form):>20s}"
-                f" {row.max_pairwise_spread:>12.3e}"
-            )
-
-    dicts = [_row_dict(row) for row in rows]
-    _emit(args, dicts, EVAL_FIELDS, dicts, human)
-    threshold = routes._SPREAD_THRESHOLD if args.tol is None else args.tol
-    deviations = (routes._route_deviation(r.quadrature, r.max_pairwise_spread) for r in rows)
-    return EXIT_NO_CONVERGENCE if any(d > threshold for d in deviations) else EXIT_OK
+    return cli_table._run_table(args)
 
 
 def _run_verify(args: argparse.Namespace) -> int:

@@ -1,7 +1,8 @@
 """The ``verify`` and ``limit`` commands of the command-line front end.
 
 ``cli`` imports this module only when one of the two runs, so a cold
-``logint eval`` or ``logint table`` never compiles it.  The handlers reach
+``logint eval`` or ``logint table`` never compiles it; ``table``'s own
+handler lives in ``cli_table``, loaded the same way.  The handlers reach
 the shared output path, the formatting helpers, the field lists and the
 exit codes through the ``cli`` module (``cli._emit``, ``cli._write_csv``,
 ``cli._fmt17``, ``cli.EXIT_OK``), where a caller or a test may replace them.

@@ -11,7 +11,13 @@ that gives x = mid + halfspan * tanh((pi/2) sinh t) and the tanh-sinh
 weights, so it is the tanh-sinh rule walked on the exp-sinh ladder.  The
 quadrature route ``numeric_I`` and the lemma1 verifier call
 ``integrate_semi_infinite`` itself; nothing in the package calls the other
-two entry points.
+two entry points, so they live in ``quadrature_maps``.  Their names, listed
+once in ``_MAPS``, end this module's ``__all__``: ``__getattr__`` imports
+``quadrature_maps`` on first access to one of them and binds the name here,
+so ``quadrature.integrate_finite`` keeps working while no ``logint``
+command loads them.  Hot callers bind ``integrate_semi_infinite`` by name:
+CPython does not specialize attribute loads on a module that defines
+``__getattr__``.
 
 Refinement halves the trapezoid step once per level:
 ``integrate_semi_infinite`` runs the level loop, and ``_pass`` walks one
@@ -57,11 +63,13 @@ from itertools import count
 from operator import length_hint
 from typing import Callable, NamedTuple
 
+# The entry points that quadrature_maps defines; see __getattr__.
+_MAPS = ("integrate_finite", "integrate_bilateral")
+
 __all__ = [
     "QuadratureOutcome",
-    "integrate_finite",
     "integrate_semi_infinite",
-    "integrate_bilateral",
+    *_MAPS,
 ]
 
 _EPS = sys.float_info.epsilon
@@ -77,6 +85,17 @@ _MAX_LEVEL = 12
 
 # The finest level whose nodes are cached; finer ones are built per pass.
 _LAST_CACHED_LEVEL = _MIN_LEVEL + 2
+
+
+def __getattr__(name: str) -> object:
+    """Import ``quadrature_maps`` for one of its names in ``_MAPS`` and bind
+    it here; any other missing name is an AttributeError, as usual."""
+    if name not in _MAPS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import quadrature_maps
+
+    value = globals()[name] = getattr(quadrature_maps, name)
+    return value
 
 
 class QuadratureOutcome(NamedTuple):
@@ -291,69 +310,3 @@ def integrate_semi_infinite(
         if err <= tol * scale and level >= _MIN_LEVEL:
             return QuadratureOutcome(value, err, used, True)
     return QuadratureOutcome(value, err, used, False)
-
-
-def integrate_bilateral(
-    f: Callable[[float], float],
-    tol: float = _DEFAULT_TOL,
-) -> QuadratureOutcome:
-    """Integrate f over the whole real line, folded at zero.
-
-    Implemented as one half-line integral of f(t) + f(-t), so a removable
-    singularity at 0 never gets sampled; the caller supplies the
-    limit-safe integrand.  The error estimate is the folded integral's
-    own.  The evaluation count is in calls of f, two per node.
-    """
-    folded = integrate_semi_infinite(lambda t: f(t) + f(-t), 0.0, tol)
-    return folded._replace(evaluations=2 * folded.evaluations)
-
-
-def integrate_finite(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = _DEFAULT_TOL,
-) -> QuadratureOutcome:
-    """Integrate f over the open interval (a, b), with a, b and b - a finite.
-
-    Implemented as one exp-sinh integral over u in (0, inf) by the change
-    of variables x = a + (b - a) u^2/(1 + u^2), which yields the tanh-sinh
-    nodes and weights.  u <= 1 maps onto the left half as offsets from a;
-    u > 1 maps onto the right half through r = 1/u as offsets from b, so
-    no precision is lost next to either endpoint.  Integrable endpoint
-    singularities of log or inverse-power type need no special casing.
-    The endpoints themselves are never passed to f: a node whose offset
-    rounds away entirely contributes 0 and is not counted, so the
-    evaluation count is in calls of f.
-
-    The stop rule is the exp-sinh one: each side (toward a, toward b)
-    ends after two consecutive contributions at most eps times the running
-    sum of |contribution| over the level's pass.  The limit: mass behind a
-    gap of two nodes that are negligible on that scale is missed, such as
-    the mass of a piecewise integrand behind a zero plateau next to the
-    midpoint.
-    """
-    _check_tol(tol)
-    span = b - a if _finite(a) and _finite(b) else math.nan
-    if not (a < b and _finite(span)):
-        raise ValueError(f"need finite a < b with finite b - a, got a={a!r}, b={b!r}")
-    skipped = 0
-
-    def mapped(u: float) -> float:
-        nonlocal skipped
-        if u <= 1.0:
-            s = u * u
-            x = a + span * (s / (1.0 + s))
-            slope = 2.0 * u
-        else:
-            r = 1.0 / u
-            s = r * r
-            x = b - span * (s / (1.0 + s))
-            slope = 2.0 * r * s
-        if not a < x < b:
-            skipped += 1
-            return 0.0
-        return span * (slope / ((1.0 + s) * (1.0 + s))) * f(x)
-
-    outcome = integrate_semi_infinite(mapped, 0.0, tol)
-    return outcome._replace(evaluations=outcome.evaluations - skipped)

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .quadrature import _DEFAULT_TOL, QuadratureOutcome, integrate_semi_infinite
 # bound by name: CPython does not specialize attribute loads on a module
-# that defines __getattr__, as specfun does, and a closed form takes a few
-# microseconds
+# that defines __getattr__, as quadrature and specfun do, and a closed form
+# takes a few microseconds
+from .quadrature import _DEFAULT_TOL, QuadratureOutcome, integrate_semi_infinite
 from .specfun import _gamma_pairs, _trigamma_pairs
 
 _VERIFIERS = (

@@ -15,7 +15,9 @@ double and at seeded n on both sides of 2 at three tolerances, the
 default verification reports, the lemma1 verifier and its scaled
 integrand's exp-sinh outcome at z where the even-order bracket is a
 signed zero or the scale overflows, lemma2 and lemma3 on seeded grids,
-and the type and message of each refusal of a bad n or a bad grid.
+``integrate_finite`` and ``integrate_bilateral`` on known integrals at three
+tolerances, and the type and message of each refusal of a bad n, a bad grid
+or a bad interval.
 Standard library only, so both corpora replay on every supported Python
 with nothing installed.
 
@@ -139,6 +141,20 @@ LEMMA3_GRIDS = [
           if abs(math.sin(2.0 * x)) > 0.02)
     for _ in range(3)
 ]
+# The five finite integrals and two of the whole-line ones that the known-value
+# checks of the quadrature tests run, by name
+FINITE_RUNS = (
+    ("log, 0.0, 1.0", math.log, 0.0, 1.0),
+    ("sin, 0.0, pi", math.sin, 0.0, math.pi),
+    ("1/sqrt(x), 0.0, 1.0", lambda x: 1.0 / math.sqrt(x), 0.0, 1.0),
+    ("x**3, 0.0, 1.0", lambda x: x**3, 0.0, 1.0),
+    ("1/(1 + x*x), 0.0, 2.0", lambda x: 1.0 / (1.0 + x * x), 0.0, 2.0),
+)
+BILATERAL_RUNS = (
+    ("exp(-t*t)", lambda t: math.exp(-t * t)),
+    ("t*exp(-t*t)", lambda t: t * math.exp(-t * t)),
+)
+ENTRY_TOLS = (1e-6, 1e-10, 1e-13)
 ROUTES = (
     routes.closed_form_trig,
     routes.closed_form_trigamma,
@@ -201,6 +217,16 @@ LIBRARY_CASES = [
     ("verify_theorem(n_grid=())", lambda: _outcome(routes.verify_theorem, n_grid=())),
     ("limit_probe([])", lambda: _outcome(routes.limit_probe, [])),
     ("limit_probe([100.0, 10.0])", lambda: _outcome(routes.limit_probe, [100.0, 10.0])),
+    *((f"integrate_finite({name}, {tol!r})",
+       lambda f=f, a=a, b=b, tol=tol: _outcome(quadrature.integrate_finite, f, a, b, tol))
+      for name, f, a, b in FINITE_RUNS for tol in ENTRY_TOLS),
+    *((f"integrate_bilateral({name}, {tol!r})",
+       lambda f=f, tol=tol: _outcome(quadrature.integrate_bilateral, f, tol))
+      for name, f in BILATERAL_RUNS for tol in ENTRY_TOLS),
+    *((f"integrate_finite(sin, {name})",
+       lambda a=a, b=b: _outcome(quadrature.integrate_finite, math.sin, a, b))
+      for name, a, b in (("1.0, 1.0", 1.0, 1.0), ("0.0, inf", 0.0, math.inf),
+                         ("0.0, 10**400", 0.0, 10**400))),
 ]
 
 

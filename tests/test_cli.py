@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import logint
-from logint import cli, routes
+from logint import cli, cli_table, routes
 
 EVAL_KEYS = set(cli.EVAL_FIELDS)
 
@@ -127,13 +127,13 @@ def test_table_linear_grid_reaches_the_largest_exponents(capsys):
 def test_table_linear_grid_is_unchanged_where_it_never_overflowed(n_min, n_max, steps):
     # every grid that printed before keeps every bit
     pinned = [n_min + (n_max - n_min) * i / (steps - 1) for i in range(steps)]
-    assert cli._grid(n_min, n_max, steps, "linear") == pinned
+    assert cli_table._grid(n_min, n_max, steps, "linear") == pinned
 
 
 def test_table_linear_grid_ends_on_max():
     # n_min + span * 6 / 6 rounded an ulp past --max here, to 4.316447105998781e+291
     n_min, n_max, steps = 16.523391142139793, 4.31644710599878e+291, 7
-    grid = cli._grid(n_min, n_max, steps, "linear")
+    grid = cli_table._grid(n_min, n_max, steps, "linear")
     assert grid[:-1] == [n_min + (n_max - n_min) * i / (steps - 1) for i in range(steps - 1)]
     assert grid[-1] == n_max
 
@@ -154,7 +154,7 @@ def test_table_log_grid_ends_on_max(capsys):
     "n_min, n_max, steps", [(1.5, 96.0, 5), (1.1, 1e300, 4), (1.01, 1e4, 200), (2.0, 3.0, 7)]
 )
 def test_table_log_grid_keeps_its_interior_and_ends_on_max(n_min, n_max, steps):
-    grid = cli._grid(n_min, n_max, steps, "log")
+    grid = cli_table._grid(n_min, n_max, steps, "log")
     ratio = n_max / n_min
     assert grid[:-1] == [n_min * ratio ** (i / (steps - 1)) for i in range(steps - 1)]
     assert grid[-1] == n_max
@@ -171,7 +171,7 @@ def test_table_steps_one_above_the_bound_is_refused_before_any_row(capsys, monke
         raise AssertionError("a row was evaluated")
 
     monkeypatch.setattr(routes, "evaluate_all_routes", evaluated)
-    steps = str(cli._MAX_TABLE_STEPS + 1)
+    steps = str(cli_table._MAX_TABLE_STEPS + 1)
     code, out, err = run_cli(["table", "--min", "1.5", "--max", "4", "--steps", steps], capsys)
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: --steps: at most 1000000 rows") and out == ""
@@ -205,7 +205,7 @@ def test_table_steps_above_the_bound_exit_2_at_once():
     )
     assert proc.returncode == cli.EXIT_USAGE
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: --steps: ") and str(cli._MAX_TABLE_STEPS) in proc.stderr
+    assert proc.stderr.startswith("error: --steps: ") and str(cli_table._MAX_TABLE_STEPS) in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import logint
-from logint import quadrature, routes, special, specfun, verify
+from logint import quadrature, quadrature_maps, routes, special, specfun, verify
 
 SRC = os.path.dirname(os.path.dirname(logint.__file__))
 
@@ -47,38 +47,31 @@ def imported_modules(*cli_args):
     }
 
 
-@pytest.mark.parametrize("command", [
-    ["eval", "--n", "3"],
-    ["table", "--min", "1.5", "--max", "4", "--steps", "3"],
-])
-def test_eval_path_loads_no_verifier_special_function_or_csv(command):
-    loaded = imported_modules(*command, "--format", "csv")
-    # the routes' kernels live in specfun; its public functions in special
-    assert {"logint.routes", "logint.specfun"} <= loaded
-    unused = {"logint.verify", "logint.special", "logint.cli_checks", "csv"}
-    assert not unused & loaded
+EVAL_PATH = {"logint", "logint.cli", "logint.routes", "logint.quadrature", "logint.specfun"}
 
 
-def test_verify_loads_the_verifiers_and_special_functions():
-    loaded = imported_modules("verify", "--subject", "all", "--format", "csv")
-    assert {"logint.verify", "logint.special"} <= loaded
-
-
-@pytest.mark.parametrize("subject", ["lemma3", "theorem"])
-def test_verify_without_lemma1_or_lemma2_loads_no_special_function(subject):
+@pytest.mark.parametrize("command, handler_modules", [
+    # the routes' kernels live in specfun, its public functions in special;
+    # the table grid and handler in cli_table, the verify and limit handlers
+    # in cli_checks; no route calls the finite or bilateral entry points
+    (["eval", "--n", "3", "--format", "csv"], set()),
+    (["eval", "--n", "3", "--format", "json"], set()),
+    (["table", "--min", "1.5", "--max", "4", "--steps", "3", "--format", "csv"],
+     {"logint.cli_table"}),
     # only the lemma1 and lemma2 verifiers reach the polygamma kernel and
     # the cot derivatives, both defined in special
-    loaded = imported_modules("verify", "--subject", subject, "--format", "csv")
-    assert "logint.verify" in loaded
-    assert "logint.special" not in loaded
-
-
-@pytest.mark.parametrize("command", [
-    ["verify", "--subject", "lemma3"],
-    ["limit", "--n-list", "10,100"],
+    (["verify", "--subject", "lemma3", "--format", "csv"], {"logint.cli_checks", "logint.verify"}),
+    (["verify", "--subject", "theorem", "--format", "csv"], {"logint.cli_checks", "logint.verify"}),
+    (["verify", "--subject", "all", "--format", "csv"],
+     {"logint.cli_checks", "logint.verify", "logint.special"}),
+    (["limit", "--n-list", "10,100", "--format", "csv"], {"logint.cli_checks"}),
 ])
-def test_verify_and_limit_load_their_handlers(command):
-    assert "logint.cli_checks" in imported_modules(*command, "--format", "csv")
+def test_each_command_loads_exactly_its_modules(command, handler_modules):
+    loaded = imported_modules(*command)
+    assert {m for m in loaded if m.split(".")[0] == "logint"} == EVAL_PATH | handler_modules
+    # the CSV rows are joined by hand; only JSON output imports json
+    assert "csv" not in loaded
+    assert ("json" in loaded) == ("json" in command)
 
 
 def test_import_logint_loads_only_the_eval_path():
@@ -86,7 +79,8 @@ def test_import_logint_loads_only_the_eval_path():
     # system asks for it before importing the submodule itself
     probe = (
         "import sys, logint; hasattr(logint, 'verify'); hasattr(logint, 'special'); "
-        "hasattr(logint, 'cli_checks'); "
+        "hasattr(logint, 'cli_checks'); hasattr(logint, 'cli_table'); "
+        "hasattr(logint, 'quadrature_maps'); "
         "print(*sorted(m for m in sys.modules if m.startswith('logint')))"
     )
     loaded = run_python("-c", probe).stdout.split()
@@ -110,7 +104,9 @@ def test_each_export_comes_from_its_module():
         quadrature.no_such_name
 
 
-@pytest.mark.parametrize("home, defining", [(routes, verify), (specfun, special)])
+@pytest.mark.parametrize("home, defining", [
+    (routes, verify), (specfun, special), (quadrature, quadrature_maps),
+])
 def test_moved_names_resolve_through_both_modules(home, defining):
     assert set(defining.__all__) <= set(home.__all__)
     for name in defining.__all__:
@@ -122,6 +118,7 @@ def test_moved_names_resolve_through_both_modules(home, defining):
 def test_integrate_finite_is_one_object_from_a_cold_start():
     probe = (
         "import logint; from logint.quadrature import integrate_finite as f; "
-        "print(f is logint.integrate_finite)"
+        "from logint.quadrature import integrate_bilateral as g; "
+        "print(f is logint.integrate_finite, g is logint.integrate_bilateral)"
     )
-    assert run_python("-c", probe).stdout.split() == ["True"]
+    assert run_python("-c", probe).stdout.split() == ["True", "True"]
