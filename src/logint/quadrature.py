@@ -24,13 +24,13 @@ Refinement halves the trapezoid step once per level:
 level's nodes and returns their weighted sum and its integrand calls.  The
 nodes of a level do not depend on the integrand, so the engine keeps one
 list of row tuples per level, and with it where each side's range ends over
-a lower limit of 0: the row where the far weight stops being finite and the
-row where the near weight reaches 0.  Both are found while the level is
-built.  A pass walks the rows where both sides are in range with no range
-tests, then the side still going alone.  A lower limit a != 0 walks the
-same rows and shifts the integrand to x -> f(a + x); its near side ends
-sooner, at the first row where a + x rounds onto a.  Levels 0 to
-_LAST_CACHED_LEVEL = 5 are built on first use and cached (about 40 kB):
+a lower limit of 0 (the row where the far weight stops being finite and the
+row where the near weight reaches 0) and the stop cut, all found while the
+level is built.  A pass walks the rows where both sides are in range with no
+range tests, then the side still going alone, in place.  A lower limit
+a != 0 walks the same rows and shifts the integrand to x -> f(a + x); its
+near side ends sooner, at the first row where a + x rounds onto a.  Levels 0
+to _LAST_CACHED_LEVEL = 5 are built on first use and cached (about 40 kB):
 every route integral (numeric_I, the lemma1 integrals) converges by level 5
 at any tol from 1e-6 to 1e-15.  A finer level is built again on each pass
 that asks for it, a cost only calls that walk past level 5 pay.  Nodes are
@@ -110,19 +110,19 @@ class QuadratureOutcome(NamedTuple):
 # The node table, one record per level.  Level 0 holds k = 1, 2, ... at
 # h = 1; level L >= 1 holds the odd k at h = 2^-L.  A record is a list of
 # row tuples of what does not depend on the integrand, so a pass walks it
-# without boxing a new float per node, and the two range ends of a pass with
-# lower limit 0: the far side runs over rows[:far_end], the near side over
-# rows[:near_end].  Every lower limit reads these rows; a != 0 only cuts the
-# near side shorter.
+# without boxing a new float per node, the two range ends of a pass with
+# lower limit 0 (the far side runs over rows[:far_end], the near side over
+# rows[:near_end]) and the pass's stop cut.  Every lower limit reads these
+# rows; a != 0 only cuts the near side shorter.
 # Threads that race to build a level build identical tables, so setdefault
 # is all the locking needed.
 _Row = tuple[float, float, float, float]
-_Level = tuple[list[_Row], list[_Row], int, int]
+_Level = tuple[list[_Row], list[_Row], int, int, float]
 _EXP_SINH: dict[int, _Level] = {}
 
 
 def _exp_sinh_level(level: int) -> _Level:
-    """Rows (base*grow, grow, base*decay, decay) and where each side ends.
+    """Rows (base*grow, grow, base*decay, decay), each side's end, and the cut.
 
     Past y = 709 exp(y) would overflow, so grow is stored as inf there; the
     far side ends at the first row whose weight base*grow is not finite.
@@ -152,7 +152,8 @@ def _exp_sinh_level(level: int) -> _Level:
         if far_end >= 0 and near_end >= 0:
             break
         rows.append((far_w, grow, near_w, decay))
-    table = (rows, rows[: min(far_end, near_end)], far_end, near_end)
+    cut = _EPS * 0.5 ** (level - _MIN_LEVEL) if level > _MIN_LEVEL else _EPS
+    table = (rows, rows[: min(far_end, near_end)], far_end, near_end, cut)
     return table if level > _LAST_CACHED_LEVEL else _EXP_SINH.setdefault(level, table)
 
 
@@ -180,32 +181,32 @@ def _pass(g: Callable[[float], float], a: float, level: int) -> tuple[float, int
     the tail a cut drops does not grow as the nodes get denser.  A single
     such contribution, an exact zero of g say, does not end a side.  The
     limit: mass behind a gap of two nodes that are negligible on that scale
-    is missed.
+    is missed.  The bound is the level record's cut; the side that goes on
+    alone walks the record's rows in place.
     """
-    rows, both, far_end, near_end = _exp_sinh_level(level)
+    rows, both, far_end, near_end, cut = _exp_sinh_level(level)
     if a != 0.0:  # a + decay falls with the row, so bisect finds its end
         near_end = bisect_left(rows, True, hi=near_end, key=lambda row: a + row[3] <= a)
         both = both[:near_end]
     total = 0.0
     comp = 0.0  # Kahan compensation; addition order is part of the contract
     l1 = 0.0  # sum of |contribution| over the pass, both sides
-    # The tail past a cut holds twice as many terms per level; halving
-    # the bound from _MIN_LEVEL on keeps the mass it drops from growing.
-    cut = _EPS * 0.5 ** (level - _MIN_LEVEL) if level > _MIN_LEVEL else _EPS
     far_tiny = 0  # t > 0, x runs to infinity
     near_tiny = 0  # t < 0, x slides down to a
-    # Both sides, until one of them goes quiet or runs out of range.
+    # Both sides, until one of them goes quiet or runs out of range.  A
+    # size is |c| without a call; for c = -0.0 or a nan it may keep the
+    # sign, which no comparison sees.
     walk = iter(both)
     for far_w, far_x, near_w, near_x in walk:
         c = far_w * g(far_x)
-        size = abs(c)
+        size = c if c >= 0.0 else -c
         l1 += size
         if size <= cut * l1:
             far_tiny += 1
         else:
             far_tiny = 0
         d = near_w * g(near_x)
-        size = abs(d)
+        size = d if d >= 0.0 else -d
         l1 += size
         if size <= cut * l1:
             near_tiny += 1
@@ -227,22 +228,22 @@ def _pass(g: Callable[[float], float], a: float, level: int) -> tuple[float, int
         side, end, tiny = 2, near_end, near_tiny
     else:
         return total, 2 * start
-    walk = iter(rows[start:end])
-    for row in walk:
+    for i in range(start, end):
+        row = rows[i]
         c = row[side] * g(row[side + 1])
-        size = abs(c)
+        size = c if c >= 0.0 else -c
         l1 += size
         if size <= cut * l1:
             tiny += 1
             if tiny >= 2:
-                break  # the last side stops: its row is dropped
+                return total, start + i + 1  # the last side stops: its row is dropped
         else:
             tiny = 0
         term = c - comp
         fresh = total + term
         comp = (fresh - total) - term
         total = fresh
-    return total, start + end - length_hint(walk)
+    return total, start + end
 
 
 def integrate_semi_infinite(
@@ -289,7 +290,7 @@ def integrate_semi_infinite(
     value = _HALF_PI * f(center)  # evaluation 1, before level 0's pass
     partial, used = _pass(g, a, 0)
     value, used = value + partial, used + 1
-    err = math.inf
+    isfinite = math.isfinite
     before = last = math.nan  # d_-1 and d_0; nan until two differences exist
     h = 1.0
     for level in range(1, _MAX_LEVEL + 1):
@@ -297,16 +298,24 @@ def integrate_semi_infinite(
         partial, calls = _pass(g, a, level)
         used += calls
         refined = 0.5 * value + h * partial
-        diff = abs(refined - value)
+        diff = refined - value
+        if not isfinite(diff):  # refined or value is nan or inf; so is err
+            return QuadratureOutcome(refined, abs(diff), used, False)
+        if diff <= 0.0:
+            diff = 0.0 - diff  # abs(diff), +0.0 for either zero
         err = diff
-        if 0.0 < last < before < math.inf:
-            err = diff * min(1.0, 10.0 * max(diff / last, (last / before) ** 2))
+        if 0.0 < last < before:  # every difference kept is finite
+            ratio = diff / last
+            square = (last / before) ** 2
+            ratio = 10.0 * (square if square > ratio else ratio)
+            if ratio < 1.0:
+                err = diff * ratio
         before, last = last, diff
         value = refined
-        scale = max(1.0, abs(value))
-        err = max(err, _EPS * scale)
-        if not (math.isfinite(value) and math.isfinite(err)):
-            return QuadratureOutcome(value, err, used, False)
+        scale = value if value > 1.0 else -value if value < -1.0 else 1.0
+        floor = _EPS * scale
+        if err < floor:
+            err = floor
         if err <= tol * scale and level >= _MIN_LEVEL:
             return QuadratureOutcome(value, err, used, True)
     return QuadratureOutcome(value, err, used, False)

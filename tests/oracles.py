@@ -1,10 +1,11 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here but ``lemma1_folded``, ``reference_pass`` and
-``route4_integrand`` deliberately avoids the algorithms used inside the
-package: brute partial sums with a midpoint tail integral, finite
-differences, stdlib math, and mpmath at 50 digits.  Oracle accuracy is noted next to each helper so
-tests can budget their tolerances.
+Everything here but ``lemma1_folded``, ``reference_pass``,
+``reference_integrate`` and ``route4_integrand`` deliberately avoids the
+algorithms used inside the package: brute partial sums with a midpoint
+tail integral, finite differences, stdlib math, and mpmath at 50 digits.
+Oracle accuracy is noted next to each helper so tests can budget their
+tolerances.
 
 ``lemma1_folded`` is a stated exception: the lemma1 integrand folded at
 zero in t-space, a link between the bilateral engine and the rescaled fold
@@ -14,7 +15,10 @@ and is itself measured against mpmath in the tests.
 pass, which the engine's ``_pass`` must match bit for bit.  It reads the
 package's node rows, and tests run it inside the package's level loop by
 putting it in place of ``quadrature._pass``; only the pass is its own.
-``route4_integrand`` is the third: ``routes.numeric_I``'s integrand as one
+``reference_integrate`` is the level loop's: the engine's earlier
+``integrate_semi_infinite``, which calls builtins for every abs, min, max
+and finiteness test, driven by ``reference_pass``.
+``route4_integrand`` is the fourth: ``routes.numeric_I``'s integrand as one
 closure for every n, whose outcome the route's must match bit for bit.
 """
 
@@ -162,6 +166,51 @@ def reference_pass(g: Callable[[float], float], a: float, level: int) -> tuple[f
         comp = (fresh - total) - term
         total = fresh
     return total, used
+
+
+def reference_integrate(
+    f: Callable[[float], float],
+    a: float,
+    tol: float = quadrature._DEFAULT_TOL,
+) -> quadrature.QuadratureOutcome:
+    """``quadrature.integrate_semi_infinite`` as it was before its level
+    loop traded builtin calls for comparisons, over ``reference_pass``.
+
+    Kept verbatim, but for the package names it reads, as the bit-identity
+    reference for the engine's level loop, including its nan, inf and -0.0
+    handling.  It shares the argument checks and the node rows.
+    """
+    q = quadrature
+    q._check_tol(tol)
+    center = a + 1.0 if q._finite(a) else math.inf
+    if not a < center < math.inf:  # a + 1 rounding onto a would sample a
+        raise ValueError(f"lower limit must be finite with a + 1 > a, got {a!r}")
+
+    g = f if a == 0.0 else lambda x: f(a + x)
+    value = q._HALF_PI * f(center)  # evaluation 1, before level 0's pass
+    partial, used = reference_pass(g, a, 0)
+    value, used = value + partial, used + 1
+    err = math.inf
+    before = last = math.nan  # d_-1 and d_0; nan until two differences exist
+    h = 1.0
+    for level in range(1, q._MAX_LEVEL + 1):
+        h *= 0.5
+        partial, calls = reference_pass(g, a, level)
+        used += calls
+        refined = 0.5 * value + h * partial
+        diff = abs(refined - value)
+        err = diff
+        if 0.0 < last < before < math.inf:
+            err = diff * min(1.0, 10.0 * max(diff / last, (last / before) ** 2))
+        before, last = last, diff
+        value = refined
+        scale = max(1.0, abs(value))
+        err = max(err, q._EPS * scale)
+        if not (math.isfinite(value) and math.isfinite(err)):
+            return q.QuadratureOutcome(value, err, used, False)
+        if err <= tol * scale and level >= q._MIN_LEVEL:
+            return q.QuadratureOutcome(value, err, used, True)
+    return q.QuadratureOutcome(value, err, used, False)
 
 
 def route4_integrand(n: float) -> Callable[[float], float]:

@@ -16,7 +16,7 @@ from logint import quadrature, routes, verify
 from logint.quadrature import integrate_bilateral, integrate_finite, integrate_semi_infinite
 from logint.routes import lemma1_integrand, numeric_I
 
-from oracles import reference_pass, zeta_partial
+from oracles import reference_integrate, reference_pass, zeta_partial
 
 
 def guarded_half_exponential(t):
@@ -353,10 +353,17 @@ def _recorded(f):
     return g, seen
 
 
+def _hex(x):
+    """x.hex(), which prints every nan as 'nan', with a nan's sign kept."""
+    if x == x:
+        return x.hex()
+    return "-nan" if math.copysign(1.0, x) < 0.0 else "nan"
+
+
 def _bits(outcome):
     return (
-        outcome.value.hex(),
-        outcome.error_estimate.hex(),
+        _hex(outcome.value),
+        _hex(outcome.error_estimate),
         outcome.evaluations,
         outcome.converged,
     )
@@ -385,7 +392,8 @@ def _lorentzian(center):
 # 0 for +-1e-300.  The integrands singular at 2.5, -3.0 and 1 still
 # contribute there, so their near side runs all the way to that end.
 # exp(-1/x - x) goes quiet next to 0 first, so its far side walks on
-# alone.  The rest return 0.0, -0.0, nan, inf, or flip sign.
+# alone.  The rest return 0.0, -0.0, nan, inf, a value below -1, or flip
+# sign.
 PASS_CASES = {
     **{
         f"lemma1({m},{z})": (verify._lemma1_scaled(m, z), 0.0)
@@ -410,6 +418,7 @@ PASS_CASES = {
     "inf spike": (_spike_inf, 0.0),
     "-inf": (lambda x: -math.inf, 0.0),
     "sign flips": (lambda x: math.cos(3.0 * x) * math.exp(-x), 0.0),
+    "below -1": (lambda x: -3.0 * math.exp(-x), 0.0),
 }
 
 
@@ -426,14 +435,47 @@ def test_pass_matches_the_one_loop_reference(name, tol, monkeypatch):
     monkeypatch.setattr(quadrature, "_pass", reference_pass)
     assert _bits(engine) == _bits(integrate_semi_infinite(ref_g, a, tol))
     assert seen == ref_seen
+    assert engine.evaluations == len(seen)
+
+
+ROUTE4_NS = (1.0 + 1e-15, 1.001, 1.5, 2.0, 3.0, 100.0, 1e300)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-16])
 def test_route4_matches_the_one_loop_reference(tol, monkeypatch):
-    ns = (1.0 + 1e-15, 1.001, 1.5, 2.0, 3.0, 100.0, 1e300)
-    engine = [numeric_I(n, tol) for n in ns]
+    engine = [numeric_I(n, tol) for n in ROUTE4_NS]
     monkeypatch.setattr(quadrature, "_pass", reference_pass)
-    assert [_bits(o) for o in engine] == [_bits(numeric_I(n, tol)) for n in ns]
+    assert [_bits(o) for o in engine] == [_bits(numeric_I(n, tol)) for n in ROUTE4_NS]
+
+
+# The level loop trades builtin calls for comparisons; with the earlier
+# loop over the one-loop pass it must sample the same x in the same order
+# and return the same bits, through the nan, inf and -0.0 of PASS_CASES.
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-16])
+@pytest.mark.parametrize("name", sorted(PASS_CASES))
+def test_level_loop_matches_its_reference(name, tol):
+    f, a = PASS_CASES[name]
+    g, seen = _recorded(f)
+    ref_g, ref_seen = _recorded(f)
+    assert _bits(integrate_semi_infinite(g, a, tol)) == _bits(reference_integrate(ref_g, a, tol))
+    assert seen == ref_seen
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-16])
+def test_route4_matches_the_level_loop_reference(tol, monkeypatch):
+    closures = []
+    with monkeypatch.context() as patch:
+        patch.setattr(routes, "integrate_semi_infinite", lambda g, a, tol: closures.append(g))
+        for n in ROUTE4_NS:
+            numeric_I(n, tol)
+    assert len(closures) == len(ROUTE4_NS)
+    for n, closure in zip(ROUTE4_NS, closures):
+        g, seen = _recorded(closure)
+        ref_g, ref_seen = _recorded(closure)
+        engine = integrate_semi_infinite(g, 0.0, tol)
+        assert _bits(engine) == _bits(numeric_I(n, tol)), n
+        assert _bits(engine) == _bits(reference_integrate(ref_g, 0.0, tol)), n
+        assert seen == ref_seen, n
 
 
 ENTRY_RUNS = {
@@ -542,7 +584,7 @@ def test_level_cap_bounds_tables_and_evaluations(kind, cold_cache, asked_levels)
 
 
 # Every cached record is built inside the measurement: the rows, the
-# both-sides prefix list and the record tuple.
+# both-sides prefix list, the cut and the record tuple.
 def test_node_tables_stay_compact(cold_cache):
     tracemalloc.start()
     try:
@@ -556,7 +598,9 @@ def test_node_tables_stay_compact(cold_cache):
     for level in range(6, 13):
         quadrature._exp_sinh_level(level)
     assert sorted(quadrature._EXP_SINH) == list(range(6))
-    assert current <= 5e4  # 40.3 kB measured (38.1 kB before the prefix lists)
+    # 39.9 kB measured; 40.3 kB before each record carried its cut, 38.1 kB
+    # before the prefix lists
+    assert current <= 5e4
 
 
 # The cache is sized for the levels the route integrals walk: route 4 over
@@ -570,6 +614,7 @@ def test_route_integrals_walk_only_cached_levels(asked_levels):
             numeric_I(n, tol)
         for m in (1, 2, 3):
             routes.verify_lemma1(m, quad_tol=tol)
+    assert asked_levels, "no pass asked _exp_sinh_level for its level"
     assert max(asked_levels) <= quadrature._LAST_CACHED_LEVEL
 
 

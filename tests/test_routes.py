@@ -392,7 +392,7 @@ def test_numeric_integrand_is_the_one_closure_bit_for_bit_on_the_cached_nodes(mo
     monkeypatch.setattr(rt, "integrate_semi_infinite", lambda g, a, tol: closures.append(g))
     nodes = []
     for level in range(quadrature._LAST_CACHED_LEVEL + 1):
-        rows, _, far_end, near_end = quadrature._exp_sinh_level(level)
+        rows, _, far_end, near_end, _ = quadrature._exp_sinh_level(level)
         nodes += [row[1] for row in rows[:far_end]] + [row[3] for row in rows[:near_end]]
     for n in ROUTE4_NS:
         rt.numeric_I(n)
@@ -616,7 +616,7 @@ LEMMA1_BIT_ZS = [
 def test_scaled_lemma1_power_is_bit_exact_on_the_cached_nodes(m):
     nodes = []
     for level in range(quadrature._LAST_CACHED_LEVEL + 1):
-        rows, _, far_end, near_end = quadrature._exp_sinh_level(level)
+        rows, _, far_end, near_end, _ = quadrature._exp_sinh_level(level)
         nodes += [row[1] for row in rows[:far_end]] + [row[3] for row in rows[:near_end]]
     for z in sorted(set(rt.DEFAULT_LEMMA1_GRID) | {1e-5, 0.5, 1.0 - 1e-5} | set(LEMMA1_BIT_ZS)):
         g = verify._lemma1_scaled(m, z)
