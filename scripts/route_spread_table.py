@@ -8,7 +8,7 @@ scales with n.
 
 import argparse
 
-from logint.cli_table import _grid
+from logint.cli_commands import _grid
 from logint.routes import evaluate_all_routes
 
 

@@ -1,12 +1,12 @@
 """Command-line front end: evaluate the integral, tabulate it over a grid,
 verify the identity chain, and probe the n -> infinity limit.
 
-This module holds the command table that the parser is built from, the
-one output path ``_emit`` that every handler prints through, the helpers
-behind it and the ``eval`` handler.  The ``table`` grid and handler live in
-``cli_table``, the ``verify`` and ``limit`` handlers in ``cli_checks``; the
-thin entries here import each only when its command runs, so a cold
-``logint eval`` compiles neither.
+The rule: this module holds what ``eval`` runs, and ``cli_commands`` holds
+every other command.  Here are the command table that the parser is built
+from, the one output path ``_emit`` that every handler prints through, the
+helpers behind it and the ``eval`` handler; ``_run_command``, the one
+import site of ``cli_commands``, loads it only when ``table``, ``verify`` or
+``limit`` runs, so a cold ``logint eval`` never compiles it.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (or stdout
 closed before the payload was written, as by ``| head``), 2 usage or domain
@@ -130,22 +130,10 @@ def _run_eval(args: argparse.Namespace) -> int:
     return EXIT_NO_CONVERGENCE if routes._route_deviation(quad, spread) > threshold else EXIT_OK
 
 
-def _run_table(args: argparse.Namespace) -> int:
-    from . import cli_table  # only table compiles its grid and handler
+def _run_command(args: argparse.Namespace) -> int:
+    from . import cli_commands  # only table, verify and limit compile their handlers
 
-    return cli_table._run_table(args)
-
-
-def _run_verify(args: argparse.Namespace) -> int:
-    from . import cli_checks  # only verify and limit compile their handlers
-
-    return cli_checks._run_verify(args)
-
-
-def _run_limit(args: argparse.Namespace) -> int:
-    from . import cli_checks
-
-    return cli_checks._run_limit(args)
+    return getattr(cli_commands, "_run_" + args.command)(args)
 
 
 # Each shared flag's keywords, written once for every command that takes it.
@@ -169,19 +157,19 @@ _COMMANDS = {
         ("--n", {"type": float, "required": True, "help": "exponent, must exceed 1"}),
         *_OUTPUT_FLAGS, *_TOLERANCE_FLAGS,
     )),
-    "table": ("tabulate all routes over an n grid", _run_table, (
+    "table": ("tabulate all routes over an n grid", _run_command, (
         ("--min", {"type": float, "required": True}),
         ("--max", {"type": float, "required": True}),
         ("--steps", {"type": int, "required": True}),
         ("--spacing", {"choices": ("linear", "log"), "default": "linear"}),
         *_OUTPUT_FLAGS, *_TOLERANCE_FLAGS,
     )),
-    "verify": ("re-run the identity checks", _run_verify, (
+    "verify": ("re-run the identity checks", _run_command, (
         ("--subject", {"choices": ("lemma1", "lemma2", "lemma3", "theorem", "all"),
                        "default": "all"}),
         *_OUTPUT_FLAGS, *_TOLERANCE_FLAGS,
     )),
-    "limit": ("probe the n -> infinity limit", _run_limit, (
+    "limit": ("probe the n -> infinity limit", _run_command, (
         ("--n-list", {"required": True, "help": "comma-separated, strictly ascending exponents"}),
         *_OUTPUT_FLAGS,
     )),
