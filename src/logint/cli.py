@@ -42,8 +42,6 @@ EVAL_FIELDS = (
     "quadrature_error",
     "spread",
 )
-VERIFY_FIELDS = ("subject", "max_abs_deviation", "tolerance", "pass", "worst_point")
-LIMIT_FIELDS = ("n", "value", "residual", "residual_n2")
 
 
 def _fmt17(value: float) -> str:

@@ -4,10 +4,10 @@ grid and handler and the ``verify`` and ``limit`` handlers.
 The rule: ``cli`` holds what ``eval`` runs, and this module holds every
 other command.  ``cli`` imports it in one place, when ``table``, ``verify``
 or ``limit`` runs, so a cold ``logint eval`` never compiles it.  The
-handlers reach the shared output path, the formatting helpers, the field
-lists and the exit codes through the ``cli`` module (``cli._emit``,
+handlers reach the shared output path, the formatting helpers, ``eval``'s
+field list and the exit codes through the ``cli`` module (``cli._emit``,
 ``cli._row_dict``, ``cli._fmt10``, ``cli.EXIT_OK``), where a caller or a
-test may replace them.
+test may replace them; the ``verify`` and ``limit`` field lists are here.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from . import cli, routes
 
 # The most rows one ``table`` builds; the whole grid is held in memory.
 _MAX_TABLE_STEPS = 1_000_000
+
+VERIFY_FIELDS = ("subject", "max_abs_deviation", "tolerance", "pass", "worst_point")
+LIMIT_FIELDS = ("n", "value", "residual", "residual_n2")
 
 
 def _grid(n_min: float, n_max: float, steps: int, spacing: str) -> list[float]:
@@ -83,7 +86,7 @@ def _collect_reports(
 
 
 def _report_dict(report: routes.VerificationReport) -> dict:
-    return dict(zip(cli.VERIFY_FIELDS, (
+    return dict(zip(VERIFY_FIELDS, (
         report.subject.value, report.max_abs_deviation, report.tolerance,
         report.passed, list(report.worst_point),
     )))
@@ -108,7 +111,7 @@ def _run_verify(args: argparse.Namespace) -> int:
          "worst_point": ";".join(cli._fmt17(p) for p in r.worst_point)}
         for d, r in zip(payload, reports)
     ]
-    cli._emit(args, payload, cli.VERIFY_FIELDS, rows, human)
+    cli._emit(args, payload, VERIFY_FIELDS, rows, human)
     if any(math.isinf(r.max_abs_deviation) for r in reports):
         return cli.EXIT_NO_CONVERGENCE
     if any(not r.passed for r in reports):
@@ -128,7 +131,7 @@ def _parse_n_list(text: str) -> list[float]:
 
 def _run_limit(args: argparse.Namespace) -> int:
     probe = routes.limit_probe(_parse_n_list(args.n_list))
-    rows = [dict(zip(cli.LIMIT_FIELDS, (n, value, residual, residual * n * n)))
+    rows = [dict(zip(LIMIT_FIELDS, (n, value, residual, residual * n * n)))
             for n, value, residual in probe]
 
     def human() -> None:
@@ -139,7 +142,7 @@ def _run_limit(args: argparse.Namespace) -> int:
                 f" {row['residual']:>14.6e} {row['residual_n2']:>14.10f}"
             )
 
-    cli._emit(args, rows, cli.LIMIT_FIELDS, rows, human)
+    cli._emit(args, rows, LIMIT_FIELDS, rows, human)
     residuals = [row["residual"] for row in rows]
     decreasing = all(b < a for a, b in zip(residuals, residuals[1:]))
     return cli.EXIT_OK if decreasing else cli.EXIT_VERIFICATION_FAILED

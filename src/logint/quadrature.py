@@ -12,12 +12,8 @@ weights, so it is the tanh-sinh rule walked on the exp-sinh ladder.  The
 quadrature route ``numeric_I`` and the lemma1 verifier call
 ``integrate_semi_infinite`` itself; nothing in the package calls the other
 two entry points, so they live in ``quadrature_maps``.  Their names, listed
-once in ``_MAPS``, end this module's ``__all__``: ``__getattr__`` imports
-``quadrature_maps`` on first access to one of them and binds the name here,
-so ``quadrature.integrate_finite`` keeps working while no ``logint``
-command loads them.  Hot callers bind ``integrate_semi_infinite`` by name:
-CPython does not specialize attribute loads on a module that defines
-``__getattr__``.
+once in ``_MAPS``, end this module's ``__all__`` and are served lazily from
+``quadrature_maps`` (see ``logint._lazy_exports``).
 
 Refinement halves the trapezoid step once per level:
 ``integrate_semi_infinite`` runs the level loop, and ``_pass`` walks one
@@ -63,7 +59,9 @@ from itertools import count
 from operator import length_hint
 from typing import Callable, NamedTuple
 
-# The entry points that quadrature_maps defines; see __getattr__.
+from . import _lazy_exports
+
+# The entry points that quadrature_maps defines, served lazily.
 _MAPS = ("integrate_finite", "integrate_bilateral")
 
 __all__ = [
@@ -71,6 +69,7 @@ __all__ = [
     "integrate_semi_infinite",
     *_MAPS,
 ]
+__getattr__ = _lazy_exports(globals(), dict.fromkeys(_MAPS, "logint.quadrature_maps"))
 
 _EPS = sys.float_info.epsilon
 _HALF_PI = math.pi / 2.0
@@ -85,17 +84,6 @@ _MAX_LEVEL = 12
 
 # The finest level whose nodes are cached; finer ones are built per pass.
 _LAST_CACHED_LEVEL = _MIN_LEVEL + 2
-
-
-def __getattr__(name: str) -> object:
-    """Import ``quadrature_maps`` for one of its names in ``_MAPS`` and bind
-    it here; any other missing name is an AttributeError, as usual."""
-    if name not in _MAPS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import quadrature_maps
-
-    value = globals()[name] = getattr(quadrature_maps, name)
-    return value
 
 
 class QuadratureOutcome(NamedTuple):

@@ -2,13 +2,10 @@
 and ``integrate_finite``.
 
 No route and no verifier calls either of them, so they live apart from the
-engine: ``quadrature`` lists both in its ``__all__`` and its ``__getattr__``
-imports this module on first access to one of them and binds the name
-there, so ``quadrature.integrate_finite``, ``from logint.quadrature import
-integrate_bilateral`` and ``logint.integrate_finite`` keep working while a
-cold ``logint`` command never compiles them.  Both look the engine up as
-``quadrature.integrate_semi_infinite`` at call time, where a caller, a test
-or the benchmark's tracer may replace it.
+engine, and ``quadrature`` serves both lazily from here (see
+``logint._lazy_exports``): a cold ``logint`` command never compiles them.
+Both look the engine up as ``quadrature.integrate_semi_infinite`` at call
+time, where a caller, a test or the benchmark's tracer may replace it.
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ The numeric re-execution of the identity chain (the sec/csc form, the
 lemma1 integrands, ``verify_lemma1`` to ``verify_theorem`` and their
 default grids and tolerances) lives in ``verify``.  Its public names are
 listed once, in ``_VERIFIERS``, which is ``verify``'s ``__all__`` and ends
-this module's: ``__getattr__`` imports ``verify`` on first access to one of
-them and binds the name here, so ``routes.verify_theorem`` keeps working
-while ``logint eval`` and ``logint table`` never load the verifiers.
+this module's; they are served lazily from ``verify`` (see
+``logint._lazy_exports``).
 """
 
 from __future__ import annotations
@@ -25,8 +24,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
+from . import _lazy_exports
+
 # bound by name: CPython does not specialize attribute loads on a module
-# that defines __getattr__, as quadrature and specfun do, and a closed form
+# with a lazy-export hook, as quadrature and specfun have, and a closed form
 # takes a few microseconds
 from .quadrature import _DEFAULT_TOL, QuadratureOutcome, integrate_semi_infinite
 from .specfun import _gamma_pairs, _trigamma_pairs
@@ -60,21 +61,11 @@ __all__ = [
     "limit_probe",
     *_VERIFIERS,
 ]
+__getattr__ = _lazy_exports(globals(), dict.fromkeys(_VERIFIERS, "logint.verify"))
 
 _HALF_PI = math.pi / 2.0
 _PI_SQUARED = math.pi * math.pi
 _SPREAD_THRESHOLD = 1e-6  # eval's, table's and verify_theorem's default for _route_deviation
-
-
-def __getattr__(name: str) -> object:
-    """Import ``verify`` for one of its names in ``_VERIFIERS`` and bind it
-    here; any other missing name is an AttributeError, as usual."""
-    if name not in _VERIFIERS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verify
-
-    value = globals()[name] = getattr(verify, name)
-    return value
 
 
 def _check_n(n: float) -> float:

@@ -9,11 +9,10 @@ constants and the two private paired kernels of routes 2 and 3.  The
 public functions in ``__all__`` (lgamma, digamma, polygamma, trigamma, the
 cot-derivative polynomials and the two exceptions) are defined in
 ``special``, which takes its series constants and ``__all__`` from here,
-so each table and the list of names exist once.  ``__getattr__`` imports
-``special`` on first access to one of them, or to the lemma verifiers'
-private kernel ``_polygamma_pair``, and binds the name here, so
-``specfun.polygamma`` works as ever while ``logint eval`` and ``logint
-table`` never load ``special``.  No route calls a public special function.
+so each table and the list of names exist once.  They and the lemma
+verifiers' private kernel ``_polygamma_pair`` are served lazily from
+``special`` (see ``logint._lazy_exports``).  No route calls a public
+special function.
 
 The trigamma route's kernel ``_trigamma_pairs`` takes the combination
 [psi'(x1) - psi'(y1)] - [psi'(x2) - psi'(y2)] where both pairs differ by
@@ -40,6 +39,8 @@ from __future__ import annotations
 
 import math
 
+from . import _lazy_exports
+
 __all__ = [
     "DomainError",
     "UnsupportedOrderError",
@@ -54,16 +55,9 @@ __all__ = [
     "cot_derivative",
 ]
 
-
-def __getattr__(name: str) -> object:
-    """Import ``special`` for one of the names in ``__all__``, or for the
-    verifiers' paired polygamma kernel, and bind it here."""
-    if name not in __all__ and name != "_polygamma_pair":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import special
-
-    value = globals()[name] = getattr(special, name)
-    return value
+__getattr__ = _lazy_exports(
+    globals(), dict.fromkeys([*__all__, "_polygamma_pair"], "logint.special")
+)
 
 
 # Bernoulli numbers B_2k, k = 1..8, as exact (numerator, denominator) pairs

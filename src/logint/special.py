@@ -1,6 +1,6 @@
-"""The public special functions of ``specfun``, defined here and reached
-as ``specfun.<name>``: log-gamma, digamma, polygamma, trigamma and the
-derivatives of cot.
+"""The public special functions of ``specfun``, defined here and served
+lazily as ``specfun.<name>`` (see ``logint._lazy_exports``): log-gamma,
+digamma, polygamma, trigamma and the derivatives of cot.
 
 Each shifts its argument upward by recurrence until the asymptotic series
 in ``specfun``'s Bernoulli constants applies; log-gamma on [1/2, 5/2], around
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .quadrature import _finite
 from .specfun import (
     _ASYMPTOTIC_START,
     _BERNOULLI,
@@ -96,7 +97,8 @@ _COT_POLE_GUARD = 1e-12
 
 
 def _require_positive(x: float, where: str) -> None:
-    if not (0.0 < x < math.inf):  # also rejects nan
+    # an int compares with a double exactly: 10**400 < inf, but not <= the largest double
+    if not (0.0 < x <= 1.7976931348623157e308):  # also rejects nan
         raise DomainError(f"{where} requires a finite argument > 0, got {x!r}")
 
 
@@ -346,7 +348,7 @@ def cot_derivative_poly(m: int) -> CotPolynomial:
 def cot_derivative(m: int, x: float) -> float:
     """m-th derivative of cot at x; x must stay clear of the poles of cot."""
     poly = cot_derivative_poly(m)
-    if math.isnan(x) or math.isinf(x):
+    if not _finite(x):  # also an int past the double range, such as 10**400
         raise DomainError(f"cot_derivative requires finite x, got {x!r}")
     s = math.sin(x)
     if abs(s) < _COT_POLE_GUARD:

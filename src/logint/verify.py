@@ -15,15 +15,16 @@ The verification subjects follow the derivation chain:
 
 ``routes.evaluate_all_routes`` compares a different four: the paper's
 Result line, with the differentiated gamma product in place of the sec/csc
-form.  Every public name here is also reachable as ``routes.<name>``;
-``__all__`` is ``routes._VERIFIERS``, where the names are listed once.
-The verifiers look the routes, the engine and the special functions up
-through their modules at call time (``routes.numeric_I``,
-``quadrature.integrate_semi_infinite``, ``specfun._polygamma_pair``,
-``specfun.cot_derivative``), where a caller, a test or the benchmark's
-tracer may replace them.  lemma1 and lemma2 take their polygamma side
-from the paired kernel ``_polygamma_pair``, one shift loop over both
-arguments, and only they load ``special``, where it is defined.
+form.  ``routes`` serves every public name here lazily (see
+``logint._lazy_exports``); ``__all__`` is ``routes._VERIFIERS``, where the
+names are listed once.  The verifiers look the routes, the engine and the
+special functions up through their modules at call time
+(``routes.numeric_I``, ``quadrature.integrate_semi_infinite``,
+``specfun._polygamma_pair``, ``specfun.cot_derivative``), where a caller,
+a test or the benchmark's tracer may replace them.  lemma1 and lemma2 take
+their polygamma side from the paired kernel ``_polygamma_pair``, one shift
+loop over both arguments, and only they load ``special``, where it is
+defined.
 
 Each verifier is a per-point ``check`` over its grid; every (point,
 deviation) pair passes through ``_make_report``, the one loop that judges

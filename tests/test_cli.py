@@ -422,7 +422,7 @@ def test_verify_json_schema(capsys):
     reports = json.loads(out)
     assert len(reports) == 1
     report = reports[0]
-    assert set(report) == set(cli.VERIFY_FIELDS)
+    assert set(report) == set(cli_commands.VERIFY_FIELDS)
     assert report["subject"] == "theorem"
     assert report["pass"] is True
     assert isinstance(report["worst_point"], list)
@@ -461,7 +461,7 @@ def test_limit_json_rows(capsys):
     )
     assert code == cli.EXIT_OK
     (row,) = json.loads(out)
-    assert set(row) == set(cli.LIMIT_FIELDS)
+    assert set(row) == set(cli_commands.LIMIT_FIELDS)
     assert row["residual"] == pytest.approx(1.6449397e-06, rel=1e-5)
 
 
@@ -601,10 +601,11 @@ def test_csv_writer_matches_the_stdlib_writer(args, passes, capsys, monkeypatch)
 
 def test_csv_writer_matches_the_stdlib_writer_on_edge_values(capsys):
     edges = [0.0, -0.0, 5e-324, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
-    rows = [dict(zip(cli.LIMIT_FIELDS, edges[i:] + edges[:i])) for i in range(len(edges))]
+    fields = cli_commands.LIMIT_FIELDS
+    rows = [dict(zip(fields, edges[i:] + edges[:i])) for i in range(len(edges))]
     rows.append({"n": "true", "value": "false", "residual": "1;0.5", "residual_n2": "lemma1"})
-    cli._write_csv(cli.LIMIT_FIELDS, rows)
-    assert capsys.readouterr().out == reference_csv(cli.LIMIT_FIELDS, rows)
+    cli._write_csv(fields, rows)
+    assert capsys.readouterr().out == reference_csv(fields, rows)
 
 
 # ------------------------------------------------------------------ quiet

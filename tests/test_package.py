@@ -5,6 +5,7 @@ recorded in tests/golden/library.json."""
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -77,6 +78,34 @@ def test_moved_names_resolve_through_both_modules(home, defining):
         assert getattr(home, name) is getattr(defining, name), name
     with pytest.raises(AttributeError):
         home.no_such_name
+
+
+# each home module and, for every name it serves lazily, the module that defines it
+LAZY_EXPORTS = {
+    "logint": (logint, {
+        name: module for module in (specfun, quadrature, routes) for name in module.__all__
+    }),
+    "routes": (routes, dict.fromkeys(verify.__all__, verify)),
+    "specfun": (specfun, dict.fromkeys([*special.__all__, "_polygamma_pair"], special)),
+    "quadrature": (quadrature, dict.fromkeys(quadrature_maps.__all__, quadrature_maps)),
+}
+
+
+@pytest.mark.parametrize("home, sources", LAZY_EXPORTS.values(), ids=LAZY_EXPORTS)
+def test_lazy_exports_bind_the_defining_modules_object(home, sources, monkeypatch):
+    # every served name is exported, but for the verifiers' private kernel
+    private = {"_polygamma_pair"} if home is specfun else set()
+    assert set(sources) - set(home.__all__) == private
+    for name, defining in sources.items():
+        monkeypatch.delitem(vars(home), name, raising=False)  # as before a first access
+        value = getattr(home, name)
+        assert value is vars(defining)[name], name
+        assert vars(home)[name] is value, name
+    with pytest.raises(AttributeError) as served:
+        home.no_such_name
+    with pytest.raises(AttributeError) as plain:
+        types.ModuleType(home.__name__).no_such_name
+    assert str(served.value) == str(plain.value)
 
 
 def test_integrate_finite_is_one_object_from_a_cold_start():

@@ -459,3 +459,14 @@ def test_cot_derivative_pole_rejection():
         sf.cot_derivative(0, 5e-13)
     with pytest.raises(sf.DomainError):
         sf.cot_derivative(1, math.inf)
+
+
+@pytest.mark.parametrize("x", [10**400, -(10**400), 2 * 10**308], ids=["1e400", "-1e400", "2e308"])
+@pytest.mark.parametrize("call", [
+    sf.lgamma, sf.digamma, sf.trigamma,
+    lambda x: sf.polygamma(2, x), lambda x: sf.cot_derivative(2, x),
+], ids=["lgamma", "digamma", "trigamma", "polygamma", "cot_derivative"])
+def test_ints_past_the_double_range_are_refused_as_inf_is(call, x):
+    # not OverflowError from a float() of the int
+    with pytest.raises(sf.DomainError, match="finite"):
+        call(x)
