@@ -153,9 +153,14 @@ def _finite(x: float) -> bool:
         return False
 
 
+def _shown(x: object) -> str:
+    """repr(x) for a refusal, but inf or -inf for an int past the double range."""
+    return repr(x) if not isinstance(x, int) or _finite(x) else "inf" if x > 0 else "-inf"
+
+
 def _check_tol(tol: float) -> None:
     if not (_finite(tol) and tol > 0.0):
-        raise ValueError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
+        raise ValueError(f"quadrature tolerance must be finite and > 0, got {_shown(tol)}")
 
 
 def _pass(g: Callable[[float], float], a: float, level: int) -> tuple[float, int]:
@@ -172,7 +177,7 @@ def _pass(g: Callable[[float], float], a: float, level: int) -> tuple[float, int
     is missed.  The bound is the level record's cut; the side that goes on
     alone walks the record's rows in place.
     """
-    rows, both, far_end, near_end, cut = _exp_sinh_level(level)
+    rows, both, far_end, near_end, cut = _EXP_SINH.get(level) or _exp_sinh_level(level)
     if a != 0.0:  # a + decay falls with the row, so bisect finds its end
         near_end = bisect_left(rows, True, hi=near_end, key=lambda row: a + row[3] <= a)
         both = both[:near_end]
@@ -200,14 +205,17 @@ def _pass(g: Callable[[float], float], a: float, level: int) -> tuple[float, int
             near_tiny += 1
         else:
             near_tiny = 0
-        if far_tiny >= 2 and near_tiny >= 2:
-            break  # both stop on this row, and it is dropped
+        if far_tiny >= 2 or near_tiny >= 2:  # a side stops
+            if far_tiny < 2 or near_tiny < 2:  # if both do, the row is dropped
+                term = (c + d) - comp
+                fresh = total + term
+                comp = (fresh - total) - term
+                total = fresh
+            break
         term = (c + d) - comp
         fresh = total + term
         comp = (fresh - total) - term
         total = fresh
-        if far_tiny >= 2 or near_tiny >= 2:
-            break
     start = len(both) - length_hint(walk)  # rows walked, the last included
     # Then the side still going, alone, up to its own range end.
     if far_tiny < 2 and far_end > start:
@@ -269,16 +277,18 @@ def integrate_semi_infinite(
     rule's own scale, eps * max(1, |value|): an integrand that cancels
     carries noise of order eps times its terms, not eps times its sum.
     """
-    _check_tol(tol)
-    center = a + 1.0 if _finite(a) else math.inf
-    if not a < center < math.inf:  # a + 1 rounding onto a would sample a
-        raise ValueError(f"lower limit must be finite with a + 1 > a, got {a!r}")
-
-    g = f if a == 0.0 else lambda x: f(a + x)
+    if not 0.0 < tol <= 1.7976931348623157e308:  # else tol is valid as it stands
+        _check_tol(tol)
+    if a == 0.0:
+        center, g = 1.0, f
+    else:
+        center = a + 1.0 if _finite(a) else math.inf
+        if not a < center < math.inf:  # a + 1 rounding onto a would sample a
+            raise ValueError(f"lower limit must be finite with a + 1 > a, got {_shown(a)}")
+        g = lambda x: f(a + x)
     value = _HALF_PI * f(center)  # evaluation 1, before level 0's pass
     partial, used = _pass(g, a, 0)
     value, used = value + partial, used + 1
-    isfinite = math.isfinite
     before = last = math.nan  # d_-1 and d_0; nan until two differences exist
     h = 1.0
     for level in range(1, _MAX_LEVEL + 1):
@@ -287,7 +297,7 @@ def integrate_semi_infinite(
         used += calls
         refined = 0.5 * value + h * partial
         diff = refined - value
-        if not isfinite(diff):  # refined or value is nan or inf; so is err
+        if diff - diff != 0.0:  # refined or value is nan or inf; so is err
             return QuadratureOutcome(refined, abs(diff), used, False)
         if diff <= 0.0:
             diff = 0.0 - diff  # abs(diff), +0.0 for either zero

@@ -14,7 +14,7 @@ import math
 from typing import Callable
 
 from . import quadrature
-from .quadrature import _DEFAULT_TOL, QuadratureOutcome, _check_tol, _finite
+from .quadrature import _DEFAULT_TOL, QuadratureOutcome, _check_tol, _finite, _shown
 from .quadrature import _MAPS as __all__
 
 
@@ -61,7 +61,7 @@ def integrate_finite(
     _check_tol(tol)
     span = b - a if _finite(a) and _finite(b) else math.nan
     if not (a < b and _finite(span)):
-        raise ValueError(f"need finite a < b with finite b - a, got a={a!r}, b={b!r}")
+        raise ValueError(f"need finite a < b with finite b - a, got a={_shown(a)}, b={_shown(b)}")
     skipped = 0
 
     def mapped(u: float) -> float:

@@ -241,14 +241,7 @@ def evaluate_all_routes(n: float, quad_tol: float = _DEFAULT_TOL) -> EvaluationR
         closed_form_gamma_derivative(v),
         quad.value,
     )
-    return EvaluationRow(
-        n=v,
-        trig_form=values[0],
-        trigamma_form=values[1],
-        gamma_derivative_form=values[2],
-        quadrature=quad,
-        max_pairwise_spread=max(values) - min(values),
-    )
+    return EvaluationRow(v, values[0], values[1], values[2], quad, max(values) - min(values))
 
 
 def _route_deviation(quad: QuadratureOutcome, spread: float) -> float:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .quadrature import _finite
+from .quadrature import _finite, _shown
 from .specfun import (
     _ASYMPTOTIC_START,
     _BERNOULLI,
@@ -96,16 +96,19 @@ _LGAMMA_NEAR_ZEROS = (
 _COT_POLE_GUARD = 1e-12
 
 
-def _require_positive(x: float, where: str) -> None:
+def _require_positive(x: float, where: str) -> float:
+    """x as a double, so that an int gives its double's bits; x must be finite and > 0."""
     # an int compares with a double exactly: 10**400 < inf, but not <= the largest double
     if not (0.0 < x <= 1.7976931348623157e308):  # also rejects nan
-        raise DomainError(f"{where} requires a finite argument > 0, got {x!r}")
+        raise DomainError(f"{where} requires a finite argument > 0, got {_shown(x)}")
+    return float(x)
 
 
 def _check_order(m: int, low: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or not (low <= m <= MAX_DERIVATIVE_ORDER):
         raise UnsupportedOrderError(
-            f"derivative order must be an integer in [{low}, {MAX_DERIVATIVE_ORDER}], got {m!r}"
+            f"derivative order must be an integer in [{low}, {MAX_DERIVATIVE_ORDER}],"
+            f" got {_shown(m)}"
         )
 
 
@@ -118,7 +121,7 @@ def lgamma(x: float) -> float:
     is taken as x (ln x - 1) - (ln x)/2, which does not, and every value
     below that band keeps the product form.
     """
-    _require_positive(x, "lgamma")
+    x = _require_positive(x, "lgamma")
     if 0.5 <= x < 2.5:
         # around the zeros at 1 and 2 the shifted sum below cancels terms
         # near 17 and keeps ~1e-14 absolute error; the series in z = x - 1
@@ -164,7 +167,7 @@ def gamma_reflection_defect(z: float) -> float:
     of the reflection formula; callers assert it is ~0.
     """
     if not (0.0 < z < 1.0):
-        raise DomainError(f"reflection defect is defined on (0, 1), got {z!r}")
+        raise DomainError(f"reflection defect is defined on (0, 1), got {_shown(z)}")
     rhs = math.log(math.pi) - math.log(math.sin(math.pi * z))
     return lgamma(z) + lgamma(1.0 - z) - rhs
 
@@ -175,7 +178,7 @@ def digamma(x: float) -> float:
     Below x ~ 5.6e-309, where psi(x) ~ -1/x passes the largest double,
     OverflowError is raised, as polygamma and math.gamma do.
     """
-    _require_positive(x, "digamma")
+    x = _require_positive(x, "digamma")
     y = x
     shift = 0.0
     while y < _ASYMPTOTIC_START:
@@ -204,7 +207,7 @@ def polygamma(m: int, x: float) -> float:
     OverflowError is raised, as math.gamma does.
     """
     _check_order(m, low=1)
-    _require_positive(x, "polygamma")
+    x = _require_positive(x, "polygamma")
     fact = math.factorial(m)
     terms, k, y = [], 0.0, x
     append, power, start = terms.append, -(m + 1), _POLYGAMMA_STARTS[m - 1]
@@ -281,8 +284,7 @@ def trigamma(x: float) -> float:
 
     Raises OverflowError below x ~ 7.5e-155, where 1/x^2 passes the largest double.
     """
-    _require_positive(x, "trigamma")
-    return polygamma(1, x)
+    return polygamma(1, _require_positive(x, "trigamma"))
 
 
 class _CotPolynomialFields(NamedTuple):
@@ -349,7 +351,7 @@ def cot_derivative(m: int, x: float) -> float:
     """m-th derivative of cot at x; x must stay clear of the poles of cot."""
     poly = cot_derivative_poly(m)
     if not _finite(x):  # also an int past the double range, such as 10**400
-        raise DomainError(f"cot_derivative requires finite x, got {x!r}")
+        raise DomainError(f"cot_derivative requires finite x, got {_shown(x)}")
     s = math.sin(x)
     if abs(s) < _COT_POLE_GUARD:
         raise DomainError(f"x = {x!r} is within {_COT_POLE_GUARD} of a pole of cot")

@@ -38,6 +38,7 @@ from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import quadrature, routes, specfun
+from .quadrature import _shown
 from .routes import _VERIFIERS as __all__
 
 _HALF_PI = math.pi / 2.0
@@ -140,9 +141,9 @@ def intermediate_form(n: float) -> float:
 def _check_lemma1(m: int, z: float) -> None:
     """Refuse an order other than the int 1, 2 or 3, or z outside (0, 1)."""
     if not isinstance(m, int) or isinstance(m, bool) or not (1 <= m <= 3):
-        raise specfun.UnsupportedOrderError(f"order must be 1, 2 or 3, got {m!r}")
+        raise specfun.UnsupportedOrderError(f"order must be 1, 2 or 3, got {_shown(m)}")
     if not (0.0 < z < 1.0):
-        raise specfun.DomainError(f"z must lie strictly inside (0, 1), got {z!r}")
+        raise specfun.DomainError(f"z must lie strictly inside (0, 1), got {_shown(z)}")
 
 
 def lemma1_integrand(m: int, z: float) -> Callable[[float], float]:
@@ -296,11 +297,13 @@ def verify_lemma2(
     the symmetric zero at z = 1/2 (even m) is not compared as 0/0.
     """
     if not isinstance(m_max, int) or isinstance(m_max, bool) or not (1 <= m_max <= 3):
-        raise specfun.UnsupportedOrderError(f"m_max must be 1, 2 or 3, got {m_max!r}")
+        raise specfun.UnsupportedOrderError(
+            f"m_max must be 1, 2 or 3, got {_shown(m_max)}"
+        )
 
     def check(m: int, z: float) -> tuple[tuple[float, ...], float]:
         if not (0.05 < z < 0.95):
-            raise ValueError(f"z grid must stay inside (0.05, 0.95), got {z!r}")
+            raise ValueError(f"z grid must stay inside (0.05, 0.95), got {_shown(z)}")
         lhs = specfun._polygamma_pair(m, z)
         rhs = _LEMMA2_PI_POWERS[m] * specfun.cot_derivative(m, math.pi * z)
         size = abs(rhs)
@@ -317,8 +320,11 @@ def verify_lemma3(
 ) -> VerificationReport:
     """sec^2 x - csc^2 x vs. -4 cot 2x csc 2x, pointwise on the grid."""
     def check(x: float) -> tuple[tuple[float, ...], float]:
-        x2 = 2.0 * x
-        s2 = math.sin(x2)
+        try:
+            x2 = 2.0 * x
+            s2 = math.sin(x2)
+        except (OverflowError, ValueError):  # inf, or an int past the double range
+            raise ValueError(f"grid point {_shown(x)} is not finite") from None
         if abs(s2) <= 1e-6:
             raise ValueError(f"grid point {x!r} is too close to a pole of the identity")
         c, s = math.cos(x), math.sin(x)

@@ -194,7 +194,8 @@ def test_invalid_intervals_rejected():
 
 # Over |a| >= 2^53, a + 1 rounds onto a, so the center node would be a
 # itself: the call must refuse before f is ever called.  10**400 and
-# -10**400 are ints beyond the double range, where a + 1 overflows.
+# -10**400 are ints beyond the double range, where a + 1 overflows; the
+# message names them as the doubles they round to, inf and -inf.
 @pytest.mark.parametrize("a", [1e17, -1e17, 2.0**53, 1e16, 1e300, 10**400, -(10**400)])
 def test_lower_limit_that_a_plus_one_rounds_onto_is_rejected(a):
     calls = []
@@ -205,7 +206,8 @@ def test_lower_limit_that_a_plus_one_rounds_onto_is_rejected(a):
 
     with pytest.raises(ValueError) as rejected:
         integrate_semi_infinite(f, a)
-    assert repr(a) in str(rejected.value)
+    named = a if isinstance(a, float) else math.inf if a > 0 else -math.inf
+    assert repr(named) in str(rejected.value)
     assert calls == []
 
 
@@ -478,6 +480,30 @@ def test_route4_matches_the_level_loop_reference(tol, monkeypatch):
         assert seen == ref_seen, n
 
 
+# A float tol in (0, inf) and a == 0.0 skip the argument checks; the
+# reference runs _check_tol and _finite on every argument.  The two must
+# take and refuse the same tol and a: the same bits, or the same exception
+# type, and for float arguments the same message.
+_EDGES = [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.0, -0.0, sys.float_info.max,
+          -sys.float_info.max, 0, 1, 2**53, 10**400, -(10**400), True]
+_ARGUMENTS = st.floats() | st.sampled_from(_EDGES)
+
+
+def _outcome_or_refusal(run, a, tol):
+    try:
+        return _bits(run(lambda x: math.exp(-x), a, tol))
+    except Exception as refusal:
+        floats = isinstance(a, float) and isinstance(tol, float)
+        return type(refusal), str(refusal) if floats else ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_ARGUMENTS, tol=_ARGUMENTS)
+def test_fast_argument_paths_refuse_exactly_what_the_checks_refuse(a, tol):
+    engine = _outcome_or_refusal(integrate_semi_infinite, a, tol)
+    assert engine == _outcome_or_refusal(reference_integrate, a, tol)
+
+
 ENTRY_RUNS = {
     "bilateral lemma1(2,0.35)": lambda tol: integrate_bilateral(lemma1_integrand(2, 0.35), tol),
     "bilateral gaussian": lambda tol: integrate_bilateral(lambda t: math.exp(-t * t), tol),
@@ -504,7 +530,8 @@ def cold_cache(monkeypatch):
 
 @pytest.fixture
 def asked_levels(monkeypatch):
-    """The levels the passes ask the node table for, in call order."""
+    """The levels the passes ask the builder for, in call order: each level
+    not yet cached, and every level past _LAST_CACHED_LEVEL on each pass."""
     asked = []
     build = quadrature._exp_sinh_level
 
@@ -605,8 +632,10 @@ def test_node_tables_stay_compact(cold_cache):
 
 # The cache is sized for the levels the route integrals walk: route 4 over
 # n - 1 log-uniform on [1e-15, 1e300] and verify_lemma1 on its default grid
-# converge by level _LAST_CACHED_LEVEL at every tol they are asked for.
-def test_route_integrals_walk_only_cached_levels(asked_levels):
+# converge by level _LAST_CACHED_LEVEL at every tol they are asked for.  A
+# pass calls the builder only for a level not cached, so the cache starts
+# cold: then every level a pass asks for is built, and recorded, at least once.
+def test_route_integrals_walk_only_cached_levels(cold_cache, asked_levels):
     rng = random.Random(20)
     pool = [1.0 + 10.0 ** rng.uniform(-15.0, 300.0) for _ in range(600)]
     for tol in (1e-6, 1e-10, 1e-15):

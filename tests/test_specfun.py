@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from logint import specfun as sf
 from logint import verify
-from logint.quadrature import integrate_semi_infinite
+from logint.quadrature import integrate_finite, integrate_semi_infinite
 
 from oracles import euler_gamma, nested_central_diff, zeta_partial
 
@@ -470,3 +470,44 @@ def test_ints_past_the_double_range_are_refused_as_inf_is(call, x):
     # not OverflowError from a float() of the int
     with pytest.raises(sf.DomainError, match="finite"):
         call(x)
+
+
+# 10**200 is inside the double range, but its square as an int is not
+@pytest.mark.parametrize("call", [
+    sf.lgamma, sf.digamma, sf.trigamma,
+    lambda x: sf.polygamma(2, x), lambda x: sf.cot_derivative(2, x),
+], ids=["lgamma", "digamma", "trigamma", "polygamma", "cot_derivative"])
+def test_ints_inside_the_double_range_give_their_doubles_bits(call):
+    assert call(10**200).hex() == call(1e200).hex()
+
+
+# Each refusal names an int past the double range as inf or -inf: its repr
+# would exceed the int-to-str digit limit and raise ValueError instead.
+REFUSALS = {
+    "lgamma": (sf.lgamma, sf.DomainError),
+    "cot_derivative": (lambda x: sf.cot_derivative(1, x), sf.DomainError),
+    "gamma_reflection_defect": (sf.gamma_reflection_defect, sf.DomainError),
+    "polygamma order": (lambda m: sf.polygamma(m, 1.0), sf.UnsupportedOrderError),
+    "cot_derivative_poly": (sf.cot_derivative_poly, sf.UnsupportedOrderError),
+    "integrate_semi_infinite tol": (
+        lambda t: integrate_semi_infinite(math.exp, 0.0, t), ValueError
+    ),
+    "integrate_semi_infinite a": (lambda a: integrate_semi_infinite(math.exp, a), ValueError),
+    "integrate_finite": (lambda b: integrate_finite(math.sin, 0.0, b), ValueError),
+    "verify_lemma1 order": (verify.verify_lemma1, sf.UnsupportedOrderError),
+    "verify_lemma1 z": (lambda z: verify.verify_lemma1(1, [z]), sf.DomainError),
+    "verify_lemma2 order": (verify.verify_lemma2, sf.UnsupportedOrderError),
+    "verify_lemma2 z": (lambda z: verify.verify_lemma2(3, [z]), ValueError),
+    "verify_lemma3": (lambda x: verify.verify_lemma3([x]), ValueError),
+}
+
+
+@pytest.mark.parametrize("x", [10**5000, -(10**5000)], ids=["1e5000", "-1e5000"])
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_ints_past_the_digit_limit_are_refused_by_name(name, x):
+    call, kind = REFUSALS[name]
+    with pytest.raises(kind) as refused:
+        call(x)
+    assert type(refused.value) is kind
+    message = str(refused.value)
+    assert ("-inf" in message) == (x < 0) and "inf" in message
