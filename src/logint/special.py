@@ -98,8 +98,12 @@ _COT_POLE_GUARD = 1e-12
 
 def _require_positive(x: float, where: str) -> float:
     """x as a double, so that an int gives its double's bits; x must be finite and > 0."""
-    # an int compares with a double exactly: 10**400 < inf, but not <= the largest double
-    if not (0.0 < x <= 1.7976931348623157e308):  # also rejects nan
+    try:
+        # an int compares with a double exactly: 10**400 < inf, but not <= the largest double
+        inside = 0.0 < x <= 1.7976931348623157e308  # false for nan
+    except ArithmeticError:  # Decimal('NaN') raises decimal.InvalidOperation
+        inside = False
+    if not inside:
         raise DomainError(f"{where} requires a finite argument > 0, got {_shown(x)}")
     return float(x)
 
@@ -166,7 +170,11 @@ def gamma_reflection_defect(z: float) -> float:
     Computing both sides independently makes this a direct numeric probe
     of the reflection formula; callers assert it is ~0.
     """
-    if not (0.0 < z < 1.0):
+    try:
+        inside = 0.0 < z < 1.0
+    except ArithmeticError:  # Decimal('NaN'), as in _require_positive
+        inside = False
+    if not inside:
         raise DomainError(f"reflection defect is defined on (0, 1), got {_shown(z)}")
     rhs = math.log(math.pi) - math.log(math.sin(math.pi * z))
     return lgamma(z) + lgamma(1.0 - z) - rhs

@@ -17,14 +17,17 @@ The verification subjects follow the derivation chain:
 Result line, with the differentiated gamma product in place of the sec/csc
 form.  ``routes`` serves every public name here lazily (see
 ``logint._lazy_exports``); ``__all__`` is ``routes._VERIFIERS``, where the
-names are listed once.  The verifiers look the routes, the engine and the
-special functions up through their modules at call time
-(``routes.numeric_I``, ``quadrature.integrate_semi_infinite``,
-``specfun._polygamma_pair``, ``specfun.cot_derivative``), where a caller,
-a test or the benchmark's tracer may replace them.  lemma1 and lemma2 take
-their polygamma side from the paired kernel ``_polygamma_pair``, one shift
-loop over both arguments, and only they load ``special``, where it is
-defined.
+names are listed once.  Each verifier looks the routes, the engine and the
+paired kernel up through their modules once per call (``routes.numeric_I``
+and the other forms, ``quadrature.integrate_semi_infinite``,
+``specfun._polygamma_pair``), where a caller, a test or the benchmark's
+tracer may replace them, and binds them for its grid: CPython does not
+specialize attribute loads on these lazily exporting modules.  lemma1 and
+lemma2 take their polygamma side from the paired kernel
+``_polygamma_pair``, one shift loop over both arguments, and only they
+load ``special``, where it is defined.  lemma2's cot side is Horner's rule
+over float copies of the exact ``CotPolynomial`` coefficients
+(``_cot_rows``), not a ``specfun.cot_derivative`` call.
 
 Each verifier is a per-point ``check`` over its grid; every (point,
 deviation) pair passes through ``_make_report``, the one loop that judges
@@ -33,6 +36,7 @@ the points and builds the report.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -48,6 +52,22 @@ _SQRT_TWO = math.sqrt(2.0)
 # (-1)^m pi^(m+1), lemma2's right-side factor, by order: the same doubles
 # as -1.0 * math.pi ** (m + 1) and 1.0 * math.pi ** (m + 1)
 _LEMMA2_PI_POWERS = (None, -math.pi**2, math.pi**3, -math.pi**4)
+
+
+@functools.cache
+def _cot_rows() -> tuple[tuple[float, ...], ...]:
+    """lemma2's cot side: the exact d^m cot polynomials in c = cot x, m = 0..3,
+    as float coefficients, highest power first.
+
+    The coefficients are small ints, so each float is exact and every
+    Horner step rounds as ``CotPolynomial.__call__``'s does, bit for bit.
+    Built from ``specfun.cot_derivative_poly`` on first use, which loads
+    ``special``, as lemma2's polygamma side does.
+    """
+    return tuple(
+        tuple(map(float, reversed(specfun.cot_derivative_poly(m).coeffs))) for m in range(4)
+    )
+
 
 # Taylor guard for the removable singularity of t/(1 - e^(-t)); four terms
 # keep the relative error under 1e-16 at this radius.
@@ -100,17 +120,13 @@ def _make_report(
     worst, worst_point = -1.0, ()  # empty grid: the report raises
     for point, dev in checks:
         points.append(point)
-        if math.isnan(dev):
+        if dev != dev:  # nan
             dev = math.inf
         if dev > worst:
             worst, worst_point = dev, point
+    # positional, in _VerificationFields' order
     return VerificationReport(
-        subject=subject,
-        grid=tuple(points),
-        max_abs_deviation=worst,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
-        worst_point=worst_point,
+        subject, tuple(points), worst, tolerance, worst <= tolerance, worst_point
     )
 
 
@@ -272,9 +288,12 @@ def verify_lemma1(
     1 - 1e-5.  Quadrature non-convergence surfaces as an infinite
     deviation.
     """
+    integrate = quadrature.integrate_semi_infinite
+    pair = specfun._polygamma_pair
+
     def check(z: float) -> tuple[tuple[float, ...], float]:
-        outcome = quadrature.integrate_semi_infinite(_lemma1_scaled(m, z), 0.0, quad_tol)
-        rhs = specfun._polygamma_pair(m, z)
+        outcome = integrate(_lemma1_scaled(m, z), 0.0, quad_tol)
+        rhs = pair(m, z)
         dev = abs(outcome.value - rhs) if outcome.converged else math.inf
         return (float(m), float(z)), dev
 
@@ -292,7 +311,10 @@ def verify_lemma2(
     the paired kernel ``specfun._polygamma_pair``, which uses no reflection
     formula and no trig function, against (-1)^m pi^(m+1) (d^m cot)(pi z);
     the pi^m chain-rule factor is what turns the z-derivative of cot(pi z)
-    into the plain cot derivative.
+    into the plain cot derivative.  (d^m cot)(pi z) is Horner's rule over
+    ``_cot_rows`` at c = cos(pi z)/sin(pi z): bit for bit
+    ``specfun.cot_derivative(m, pi * z)`` without its per-call checks,
+    which the z check here makes moot (|sin pi z| > 0.15).
     Deviations are relative to the right side, floored at magnitude 1 so
     the symmetric zero at z = 1/2 (even m) is not compared as 0/0.
     """
@@ -300,14 +322,22 @@ def verify_lemma2(
         raise specfun.UnsupportedOrderError(
             f"m_max must be 1, 2 or 3, got {_shown(m_max)}"
         )
+    pair = specfun._polygamma_pair
+    rows = _cot_rows()
 
     def check(m: int, z: float) -> tuple[tuple[float, ...], float]:
         if not (0.05 < z < 0.95):
             raise ValueError(f"z grid must stay inside (0.05, 0.95), got {_shown(z)}")
-        lhs = specfun._polygamma_pair(m, z)
-        rhs = _LEMMA2_PI_POWERS[m] * specfun.cot_derivative(m, math.pi * z)
-        size = abs(rhs)
-        return (float(m), float(z)), abs(lhs - rhs) / (size if size > 1.0 else 1.0)
+        lhs = pair(m, z)
+        x = math.pi * z
+        c = math.cos(x) / math.sin(x)
+        cot = 0.0
+        for coeff in rows[m]:
+            cot = cot * c + coeff
+        rhs = _LEMMA2_PI_POWERS[m] * cot
+        # |rhs| floored at 1, without abs: no sign of a zero reaches the divisor
+        size = rhs if rhs > 1.0 else -rhs if rhs < -1.0 else 1.0
+        return (float(m), float(z)), abs(lhs - rhs) / size
 
     z_grid = tuple(z_grid)  # one pass per order, so an iterator must not run dry
     checks = (check(m, z) for m in range(1, m_max + 1) for z in z_grid)
@@ -325,13 +355,14 @@ def verify_lemma3(
             s2 = math.sin(x2)
         except (OverflowError, ValueError):  # inf, or an int past the double range
             raise ValueError(f"grid point {_shown(x)} is not finite") from None
-        if abs(s2) <= 1e-6:
+        if -1e-6 <= s2 <= 1e-6:
             raise ValueError(f"grid point {x!r} is too close to a pole of the identity")
         c, s = math.cos(x), math.sin(x)
         lhs = 1.0 / (c * c) - 1.0 / (s * s)
         rhs = -4.0 * math.cos(x2) / (s2 * s2)
-        size = abs(rhs)
-        return (float(x),), abs(lhs - rhs) / (size if size > 1.0 else 1.0)
+        # |rhs| floored at 1; the deviation keeps abs, where -0.0 would reach the report
+        size = rhs if rhs > 1.0 else -rhs if rhs < -1.0 else 1.0
+        return (float(x),), abs(lhs - rhs) / size
 
     return _make_report(Subject.LEMMA3, map(check, x_grid), tol)
 
@@ -348,15 +379,14 @@ def verify_theorem(
     The sec/csc form stands where ``evaluate_all_routes`` has the gamma
     product, so lemma3's collapse is checked at every grid point.
     """
+    check_n, numeric_I, deviation = routes._check_n, routes.numeric_I, routes._route_deviation
+    trigamma_form, sec_csc_form = routes.closed_form_trigamma, routes.intermediate_form
+    trig_form = routes.closed_form_trig
+
     def check(n: float) -> tuple[tuple[float, ...], float]:
-        v = routes._check_n(n)
-        quad = routes.numeric_I(v, quad_tol)
-        values = (
-            quad.value,
-            routes.closed_form_trigamma(v),
-            routes.intermediate_form(v),
-            routes.closed_form_trig(v),
-        )
-        return (v,), routes._route_deviation(quad, max(values) - min(values))
+        v = check_n(n)
+        quad = numeric_I(v, quad_tol)
+        values = (quad.value, trigamma_form(v), sec_csc_form(v), trig_form(v))
+        return (v,), deviation(quad, max(values) - min(values))
 
     return _make_report(Subject.THEOREM1, map(check, n_grid), tol)

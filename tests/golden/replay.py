@@ -25,8 +25,8 @@ float as ``float.hex``, is compared with the one recorded in
   three tolerances, the engine on integrands no route runs, and two runs at
   a tol no level meets, which walk past the cached levels to the cap;
 - ``polygamma``'s bits for m = 1, 2, 3, which no route or verifier reads;
-- the type and message of each refusal of a bad n, a bad grid or a bad
-  interval;
+- the type and message of each refusal of a bad n, a bad grid, a bad
+  interval or a ``Decimal('NaN')`` argument to a special function;
 - three exact counts, which depend on the code alone: ``numeric_I``'s
   evaluations over seeded n, the lemma1 default grid's, and the node rows
   cached;
@@ -57,6 +57,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from enum import Enum
 
 import logint
@@ -222,6 +223,8 @@ COLD_COMMANDS = (
     ("verify", "--subject", "all", "--format", "csv"),
     ("limit", "--n-list", "10,100", "--format", "csv"),
 )
+# comparisons with it raise decimal.InvalidOperation, not False
+DECIMAL_NAN = Decimal("NaN")
 ROUTES = (
     routes.closed_form_trig,
     routes.closed_form_trigamma,
@@ -307,6 +310,12 @@ LIBRARY_CASES = [
     ("verify_lemma3(x_grid=(pi/2,))",
      lambda: _outcome(routes.verify_lemma3, x_grid=(math.pi / 2.0,))),
     ("verify_theorem(n_grid=())", lambda: _outcome(routes.verify_theorem, n_grid=())),
+    ("lgamma(Decimal('NaN'))", lambda: _outcome(special.lgamma, DECIMAL_NAN)),
+    ("digamma(Decimal('NaN'))", lambda: _outcome(special.digamma, DECIMAL_NAN)),
+    ("polygamma(1, Decimal('NaN'))", lambda: _outcome(special.polygamma, 1, DECIMAL_NAN)),
+    ("trigamma(Decimal('NaN'))", lambda: _outcome(special.trigamma, DECIMAL_NAN)),
+    ("gamma_reflection_defect(Decimal('NaN'))",
+     lambda: _outcome(special.gamma_reflection_defect, DECIMAL_NAN)),
     ("limit_probe([])", lambda: _outcome(routes.limit_probe, [])),
     ("limit_probe([100.0, 10.0])", lambda: _outcome(routes.limit_probe, [100.0, 10.0])),
     *((f"integrate_finite({name}, {tol!r})",

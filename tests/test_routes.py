@@ -725,6 +725,22 @@ def test_verify_lemma2_passes_and_matches_cosecant_form():
         assert abs(lhs - rhs) <= 1e-9 * rhs
 
 
+def test_verify_lemma2_cot_side_is_the_public_cot_derivative_bit_for_bit(monkeypatch):
+    # with unit pi powers and the public cot_derivative as the polygamma
+    # side, each deviation is |cot_derivative(m, pi z) - lemma2's cot side|
+    rng = random.Random(41)
+    low, high = math.nextafter(0.05, 1.0), math.nextafter(0.95, 0.0)
+    grid = [low, high, 0.5, *(0.05 + 0.9 * i / 4000 for i in range(1, 4000)),
+            *(rng.uniform(low, high) for _ in range(1000))]
+    monkeypatch.setattr(verify, "_LEMMA2_PI_POWERS", (None, 1.0, 1.0, 1.0))
+    monkeypatch.setattr(
+        specfun, "_polygamma_pair", lambda m, z: specfun.cot_derivative(m, math.pi * z)
+    )
+    report = verify.verify_lemma2(3, grid)
+    assert len(report.grid) == 3 * len(grid)
+    assert report.max_abs_deviation == 0.0, report.worst_point
+
+
 def test_verify_lemma2_rejects_grid_outside_strip():
     with pytest.raises(ValueError):
         rt.verify_lemma2(z_grid=(0.01, 0.5))

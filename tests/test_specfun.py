@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -511,3 +512,20 @@ def test_ints_past_the_digit_limit_are_refused_by_name(name, x):
     assert type(refused.value) is kind
     message = str(refused.value)
     assert ("-inf" in message) == (x < 0) and "inf" in message
+
+
+# Comparisons with a Decimal NaN raise decimal.InvalidOperation instead of
+# being false; each function refuses it as it refuses nan, with its own message.
+@pytest.mark.parametrize("nan", [Decimal("NaN"), Decimal("sNaN")], ids=["NaN", "sNaN"])
+@pytest.mark.parametrize("call, message", [
+    (sf.lgamma, "lgamma requires a finite argument > 0"),
+    (sf.digamma, "digamma requires a finite argument > 0"),
+    (lambda x: sf.polygamma(1, x), "polygamma requires a finite argument > 0"),
+    (sf.trigamma, "trigamma requires a finite argument > 0"),
+    (sf.gamma_reflection_defect, "reflection defect is defined on (0, 1)"),
+], ids=["lgamma", "digamma", "polygamma", "trigamma", "gamma_reflection_defect"])
+def test_decimal_nan_is_refused_as_a_domain_error(call, message, nan):
+    with pytest.raises(sf.DomainError) as refused:
+        call(nan)
+    assert type(refused.value) is sf.DomainError
+    assert str(refused.value) == f"{message}, got {nan!r}"
